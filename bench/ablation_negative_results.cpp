@@ -31,17 +31,18 @@ int main(int argc, char** argv) {
   HierConfig cfg;
   cfg.subtree_depth = sd;
   const HierarchicalForest hier = HierarchicalForest::build(forest, cfg);
+  const std::vector<gpukernels::PackedNode> packed = gpukernels::pack_nodes(hier);
 
   Table table({"configuration", "sim-s", "vs independent", "branch eff", "note"});
 
   gpusim::Device d_ind(gpusim::DeviceConfig::titan_xp());
-  const auto ind = gpukernels::run_independent(d_ind, hier, queries);
+  const auto ind = gpukernels::run_independent(d_ind, hier, packed, queries);
   table.row().cell("independent (baseline)").cell(ind.timing.seconds, 5).cell(1.0, 2).cell(
       ind.counters.branch_efficiency(), 3).cell("");
 
   // --- Optimization 2: tree per block.
   gpusim::Device d_tpb(gpusim::DeviceConfig::titan_xp());
-  const auto tpb = gpukernels::run_tree_per_block(d_tpb, hier, queries);
+  const auto tpb = gpukernels::run_tree_per_block(d_tpb, hier, packed, queries);
   bool same = tpb.predictions == ind.predictions;
   table.row()
       .cell("tree-per-block (Opt. 2)")
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
   const Dataset sorted = gpukernels::permute_queries(queries, order);
   const double sort_wall = sort_timer.seconds();
   gpusim::Device d_sorted(gpusim::DeviceConfig::titan_xp());
-  const auto srt = gpukernels::run_independent(d_sorted, hier, sorted);
+  const auto srt = gpukernels::run_independent(d_sorted, hier, packed, sorted);
   char note[96];
   std::snprintf(note, sizeof note, "host presort cost: %.3f wall-s for %zu queries", sort_wall,
                 queries.num_samples());

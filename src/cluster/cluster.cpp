@@ -123,14 +123,13 @@ ClusterRouter::ClusterRouter(const Forest& forest, const ClassifierOptions& clas
     : options_(options),
       limiter_(options.limit),
       probe_queries_(make_probe_queries(forest.num_features(), forest.num_classes())) {
-  // The factory outlives this constructor (scale_up() replays it), so it
-  // owns a copy of the model instead of borrowing the caller's.
-  auto model = std::make_shared<const Forest>(forest);
-  init_shards(classifier_options, shard_options,
-              [model, classifier_options](const serve::ServerOptions& per_shard) {
-                return std::make_unique<serve::ForestServer>(*model, classifier_options,
-                                                             per_shard);
-              });
+  // Compiled once; every shard, including those scale_up() adds later,
+  // serves this one model.
+  std::shared_ptr<const serve::CompiledModel> model = serve::compile_model(
+      Classifier(Forest(forest), classifier_options), 0, shard_options.integrity.armed());
+  init_shards(shard_options, [model](const serve::ServerOptions& per_shard) {
+    return std::make_unique<serve::ForestServer>(model, per_shard);
+  });
 }
 
 ClusterRouter::ClusterRouter(const serve::ModelStore& store,
@@ -138,26 +137,28 @@ ClusterRouter::ClusterRouter(const serve::ModelStore& store,
                              const serve::ServerOptions& shard_options,
                              const ClusterOptions& options)
     : options_(options), limiter_(options.limit) {
-  {
-    // One load up front for the probe shape; each shard loads its own
-    // copy through the store constructor so it stays reload()-able.
-    const std::optional<std::uint64_t> current = store.current();
-    require(current.has_value(), "cluster: model store has no complete generation");
-    const serve::LoadedModel model = store.load(*current);
-    probe_queries_ =
-        make_probe_queries(model.forest.num_features(), model.forest.num_classes());
-  }
+  // The store's current generation, compiled once and shared by every
+  // shard. A shard scale_up() adds later serves the store's generation
+  // current at that time, recompiled only when it moved on. The factory
+  // runs only here and under scale_mu_, so the cache needs no lock.
+  const bool for_integrity = shard_options.integrity.armed();
+  auto model = std::make_shared<std::shared_ptr<const serve::CompiledModel>>(
+      serve::compile_current(store, classifier_options, for_integrity));
+  const Forest& forest = (*model)->primary->forest();
+  probe_queries_ = make_probe_queries(forest.num_features(), forest.num_classes());
   // The store is captured by reference: it must outlive the router (the
   // same lifetime rolling_reload() already requires).
-  init_shards(classifier_options, shard_options,
-              [&store, classifier_options](const serve::ServerOptions& per_shard) {
-                return std::make_unique<serve::ForestServer>(store, classifier_options,
-                                                             per_shard);
-              });
+  init_shards(shard_options, [&store, classifier_options, for_integrity,
+                              model](const serve::ServerOptions& per_shard) {
+    const std::optional<std::uint64_t> current = store.current();
+    if (!current || *current != (*model)->generation) {
+      *model = serve::compile_current(store, classifier_options, for_integrity);
+    }
+    return std::make_unique<serve::ForestServer>(*model, per_shard);
+  });
 }
 
-void ClusterRouter::init_shards(const ClassifierOptions& /*classifier_options*/,
-                                const serve::ServerOptions& shard_options,
+void ClusterRouter::init_shards(const serve::ServerOptions& shard_options,
                                 MakeServer make_server) {
   require(options_.num_shards >= 1, "cluster needs at least one shard");
   if (options_.max_shards == 0) options_.max_shards = options_.num_shards;
@@ -683,6 +684,7 @@ serve::LatencyStats ClusterRouter::latency() const {
     merged.execute.merge(one.execute);
     merged.end_to_end.merge(one.end_to_end);
     merged.reload.merge(one.reload);
+    merged.batch_size.merge(one.batch_size);
   }
   return merged;
 }
@@ -712,6 +714,13 @@ ClusterStats ClusterRouter::stats() const {
   out.reload_waves = get("cluster.reload_waves");
   out.reload_waves_halted = get("cluster.reload_waves_halted");
   out.shard_rollbacks = get("cluster.shard_rollbacks");
+  ResidentModels resident;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::shared_ptr<serve::ForestServer> server = server_of(s);
+    if (server) server->add_resident(resident);
+  }
+  out.resident_layouts = resident.layouts();
+  out.resident_model_bytes = resident.bytes();
   // Status rows cover the active fleet (index order); drained or
   // never-activated slots are not part of the serving picture.
   for (const std::size_t s : active_ids()) {

@@ -200,6 +200,10 @@ struct ClusterStats {
   std::uint64_t reload_waves = 0;
   std::uint64_t reload_waves_halted = 0;
   std::uint64_t shard_rollbacks = 0;
+  /// Compiled models resident across every shard that holds a server,
+  /// counted as in ServerStats: a model the shards share counts once.
+  std::size_t resident_layouts = 0;
+  std::size_t resident_model_bytes = 0;
   std::vector<ShardStatus> shard_status;
 };
 
@@ -233,11 +237,12 @@ struct RollingReloadReport {
 /// may be called concurrently from any thread.
 class ClusterRouter {
  public:
-  /// Every shard serves replicas built from the same (forest, options).
+  /// Compiles (forest, options) once; every shard serves that model.
   ClusterRouter(const Forest& forest, const ClassifierOptions& classifier_options,
                 const serve::ServerOptions& shard_options, const ClusterOptions& options);
-  /// Every shard serves the store's current generation and stays
-  /// reload()-able (what rolling_reload() requires for rollback).
+  /// Compiles the store's current generation once; every shard serves it
+  /// and stays reload()-able (what rolling_reload() requires for
+  /// rollback).
   ClusterRouter(const serve::ModelStore& store, const ClassifierOptions& classifier_options,
                 const serve::ServerOptions& shard_options, const ClusterOptions& options);
   ~ClusterRouter();
@@ -345,8 +350,7 @@ class ClusterRouter {
   using MakeServer =
       std::function<std::unique_ptr<serve::ForestServer>(const serve::ServerOptions&)>;
 
-  void init_shards(const ClassifierOptions& classifier_options,
-                   const serve::ServerOptions& shard_options, MakeServer make_server);
+  void init_shards(const serve::ServerOptions& shard_options, MakeServer make_server);
   /// Per-shard options for slot `s` (distinct jitter seed per slot).
   serve::ServerOptions slot_options(std::size_t s) const;
   /// Lock-free-ish read of a slot's server (snapshot under the slot mu).

@@ -52,44 +52,105 @@ void Classifier::check_variant_backend() const {
   }
 }
 
+namespace {
+
+bool is_hierarchical(Variant v) {
+  return v == Variant::Independent || v == Variant::Collaborative || v == Variant::Hybrid;
+}
+
+/// Whether layouts built with these configs are identical.
+bool same_layout(const HierConfig& a, const HierConfig& b) {
+  return a.subtree_depth == b.subtree_depth &&
+         a.effective_root_depth() == b.effective_root_depth();
+}
+
+}  // namespace
+
+Classifier::Classifier(std::shared_ptr<const Forest> forest, ClassifierOptions options)
+    : forest_(std::move(forest)), options_(options) {}
+
 Classifier::Classifier(Forest forest, ClassifierOptions options)
-    : forest_(std::move(forest)), options_(options) {
+    : Classifier(std::make_shared<const Forest>(std::move(forest)), options) {
   check_variant_backend();
+  compile();
+}
+
+Classifier::Classifier(Forest forest, CsrForest layout, ClassifierOptions options)
+    : Classifier(std::make_shared<const Forest>(std::move(forest)), options) {
+  install(std::move(layout));
+}
+
+Classifier::Classifier(Forest forest, HierarchicalForest layout, ClassifierOptions options)
+    : Classifier(std::make_shared<const Forest>(std::move(forest)), options) {
+  install(std::move(layout));
+}
+
+void Classifier::install(CsrForest layout) {
+  require(options_.variant == Variant::Csr,
+          "a precompiled CSR layout requires the csr variant");
+  check_variant_backend();
+  require(layout.num_features() == forest_->num_features() &&
+              layout.num_classes() == forest_->num_classes(),
+          "precompiled CSR layout does not match the forest's feature/class shape");
+  csr_ = std::make_shared<const CsrForest>(std::move(layout));
+}
+
+void Classifier::install(HierarchicalForest layout) {
+  require(is_hierarchical(options_.variant),
+          "a precompiled hierarchical layout requires a hierarchical variant "
+          "(independent/collaborative/hybrid)");
+  check_variant_backend();
+  require(layout.num_features() == forest_->num_features() &&
+              layout.num_classes() == forest_->num_classes(),
+          "precompiled hierarchical layout does not match the forest's feature/class shape");
+  options_.layout = layout.config();
+  hier_ = std::make_shared<const HierarchicalForest>(std::move(layout));
+  packed_.reset();
+  compile();  // packs the new layout on GpuSim
+}
+
+void Classifier::compile() {
   switch (options_.variant) {
     case Variant::Csr:
-      csr_.emplace(CsrForest::build(forest_));
+      if (!csr_) csr_ = std::make_shared<const CsrForest>(CsrForest::build(*forest_));
       break;
     case Variant::FilBaseline:
       break;  // the FIL layout is built inside the kernel
     default:
-      hier_.emplace(HierarchicalForest::build(forest_, options_.layout));
+      if (!hier_) {
+        hier_ = std::make_shared<const HierarchicalForest>(
+            HierarchicalForest::build(*forest_, options_.layout));
+      }
+      if (options_.backend == Backend::GpuSim && !packed_) {
+        packed_ = std::make_shared<const PackedNodes>(gpukernels::pack_nodes(*hier_));
+      }
       break;
   }
 }
 
-Classifier::Classifier(Forest forest, CsrForest layout, ClassifierOptions options)
-    : forest_(std::move(forest)), options_(options) {
-  require(options_.variant == Variant::Csr,
-          "a precompiled CSR layout requires the csr variant");
-  check_variant_backend();
-  require(layout.num_features() == forest_.num_features() &&
-              layout.num_classes() == forest_.num_classes(),
-          "precompiled CSR layout does not match the forest's feature/class shape");
-  csr_.emplace(std::move(layout));
+Classifier Classifier::twin(ClassifierOptions options) const {
+  Classifier out(forest_, options);
+  out.check_variant_backend();
+  if (options.variant == Variant::Csr) out.csr_ = csr_;
+  if (is_hierarchical(options.variant) && hier_ && same_layout(options.layout, hier_->config())) {
+    out.hier_ = hier_;
+    out.options_.layout = hier_->config();
+    if (options.backend == Backend::GpuSim) out.packed_ = packed_;
+  }
+  out.compile();
+  return out;
 }
 
-Classifier::Classifier(Forest forest, HierarchicalForest layout, ClassifierOptions options)
-    : forest_(std::move(forest)), options_(options) {
-  require(options_.variant == Variant::Independent ||
-              options_.variant == Variant::Collaborative || options_.variant == Variant::Hybrid,
-          "a precompiled hierarchical layout requires a hierarchical variant "
-          "(independent/collaborative/hybrid)");
-  check_variant_backend();
-  require(layout.num_features() == forest_.num_features() &&
-              layout.num_classes() == forest_.num_classes(),
-          "precompiled hierarchical layout does not match the forest's feature/class shape");
-  options_.layout = layout.config();
-  hier_.emplace(std::move(layout));
+Classifier Classifier::with_layout(CsrForest layout) const {
+  Classifier out(forest_, options_);
+  out.install(std::move(layout));
+  return out;
+}
+
+Classifier Classifier::with_layout(HierarchicalForest layout) const {
+  Classifier out(forest_, options_);
+  out.install(std::move(layout));
+  return out;
 }
 
 Classifier Classifier::train(const Dataset& train, const TrainConfig& train_config,
@@ -102,13 +163,35 @@ Classifier Classifier::load(const std::string& path, ClassifierOptions options) 
 }
 
 const HierarchicalForest& Classifier::hierarchical() const {
-  require(hier_.has_value(), "this variant does not use the hierarchical layout");
+  require(hier_ != nullptr, "this variant does not use the hierarchical layout");
   return *hier_;
 }
 
 const CsrForest& Classifier::csr() const {
-  require(csr_.has_value(), "this variant does not use the CSR layout");
+  require(csr_ != nullptr, "this variant does not use the CSR layout");
   return *csr_;
+}
+
+void ResidentModels::add(const Classifier& clf) {
+  if (clf.forest_) {
+    std::size_t bytes = 0;
+    for (const DecisionTree& t : clf.forest_->trees()) bytes += t.node_count() * sizeof(TreeNode);
+    other_.emplace(clf.forest_.get(), bytes);
+  }
+  if (clf.csr_) layouts_.emplace(clf.csr_.get(), clf.csr_->memory_bytes());
+  if (clf.hier_) layouts_.emplace(clf.hier_.get(), clf.hier_->memory_bytes());
+  if (clf.packed_) {
+    other_.emplace(clf.packed_.get(), clf.packed_->size() * sizeof(gpukernels::PackedNode));
+  }
+}
+
+std::size_t ResidentModels::layouts() const { return layouts_.size(); }
+
+std::size_t ResidentModels::bytes() const {
+  std::size_t total = 0;
+  for (const auto& [ptr, bytes] : layouts_) total += bytes;
+  for (const auto& [ptr, bytes] : other_) total += bytes;
+  return total;
 }
 
 Classifier::StreamReport Classifier::classify_stream(const Dataset& queries,
@@ -205,10 +288,10 @@ void set_backend_span_attrs(const trace::Span& span, const RunReport& report) {
 }
 
 void Classifier::validate_queries(const Dataset& queries) const {
-  if (queries.num_features() != forest_.num_features()) {
+  if (queries.num_features() != forest_->num_features()) {
     throw ConfigError("query batch has " + std::to_string(queries.num_features()) +
                       " features but the model expects " +
-                      std::to_string(forest_.num_features()));
+                      std::to_string(forest_->num_features()));
   }
   const std::span<const float> feats = queries.features();
   for (std::size_t i = 0; i < feats.size(); ++i) {
@@ -222,7 +305,7 @@ void Classifier::validate_queries(const Dataset& queries) const {
 }
 
 RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrForest* csr,
-                                  const HierarchicalForest* hier,
+                                  const HierarchicalForest* hier, const PackedNodes* packed,
                                   const Dataset& queries) const {
   RunReport r;
   switch (backend) {
@@ -240,14 +323,14 @@ RunReport Classifier::run_backend(Backend backend, Variant variant, const CsrFor
       switch (variant) {
         case Variant::Csr: k = gpukernels::run_csr(device, *csr, queries); break;
         case Variant::Independent:
-          k = gpukernels::run_independent(device, *hier, queries);
+          k = gpukernels::run_independent(device, *hier, *packed, queries);
           break;
         case Variant::Collaborative:
-          k = gpukernels::run_collaborative(device, *hier, queries);
+          k = gpukernels::run_collaborative(device, *hier, *packed, queries);
           break;
-        case Variant::Hybrid: k = gpukernels::run_hybrid(device, *hier, queries); break;
+        case Variant::Hybrid: k = gpukernels::run_hybrid(device, *hier, *packed, queries); break;
         case Variant::FilBaseline:
-          k = gpukernels::run_fil_baseline(device, forest_, queries);
+          k = gpukernels::run_fil_baseline(device, *forest_, queries);
           break;
       }
       r.predictions = std::move(k.predictions);
@@ -311,8 +394,8 @@ RunReport Classifier::classify(const Dataset& queries) const {
 
   const FallbackPolicy& fb = options_.fallback;
   if (!fb.enabled) {
-    return run_backend(options_.backend, options_.variant, csr_ ? &*csr_ : nullptr,
-                       hier_ ? &*hier_ : nullptr, queries);
+    return run_backend(options_.backend, options_.variant, csr_.get(), hier_.get(),
+                       packed_.get(), queries);
   }
 
   struct Attempt {
@@ -320,39 +403,39 @@ RunReport Classifier::classify(const Dataset& queries) const {
     Variant variant;
     const CsrForest* csr;
     const HierarchicalForest* hier;
+    const PackedNodes* packed;
     std::string note;  // degradation entry recorded when the chain reaches it
+    int shrink_rsd = 0;  // > 0: rebuild the layout at this RSD on reaching the step
   };
 
-  // Layouts materialized only if their chain step is reached would be
-  // nicer, but both builds are cheap relative to classification and the
-  // chain is only constructed on the (rare) configured path.
+  // The shrunk layout is built only if the chain reaches its step; the
+  // CSR stand-in for FilBaseline is cheap and built with the plan.
   std::optional<HierarchicalForest> shrunk;
+  std::optional<PackedNodes> shrunk_packed;
   std::optional<CsrForest> cpu_csr;
 
   std::vector<Attempt> plan;
-  plan.push_back({options_.backend, options_.variant, csr_ ? &*csr_ : nullptr,
-                  hier_ ? &*hier_ : nullptr, ""});
+  plan.push_back(
+      {options_.backend, options_.variant, csr_.get(), hier_.get(), packed_.get(), ""});
   if (options_.backend != Backend::CpuNative) {
     if (fb.allow_layout_shrink && options_.variant == Variant::Hybrid && hier_) {
       const int fit = max_fitting_rsd();
       const int cur = options_.layout.effective_root_depth();
       if (fit >= 1 && fit < cur) {
-        HierConfig cfg = options_.layout;
-        cfg.root_subtree_depth = fit;
-        shrunk.emplace(HierarchicalForest::build(forest_, cfg));
-        plan.push_back({options_.backend, Variant::Hybrid, nullptr, &*shrunk,
-                        "shrink rsd " + std::to_string(cur) + " -> " + std::to_string(fit)});
+        plan.push_back({options_.backend, Variant::Hybrid, nullptr, nullptr, nullptr,
+                        "shrink rsd " + std::to_string(cur) + " -> " + std::to_string(fit), fit});
       }
     }
     if (fb.allow_variant_downgrade) {
       if ((options_.variant == Variant::Hybrid || options_.variant == Variant::Collaborative) &&
           hier_) {
-        plan.push_back({options_.backend, Variant::Independent, nullptr, &*hier_,
+        plan.push_back({options_.backend, Variant::Independent, nullptr, hier_.get(),
+                        packed_.get(),
                         std::string("variant ") + to_string(options_.variant) +
                             " -> independent"});
       } else if (options_.variant == Variant::FilBaseline) {
-        cpu_csr.emplace(CsrForest::build(forest_));
-        plan.push_back({options_.backend, Variant::Csr, &*cpu_csr, nullptr,
+        cpu_csr.emplace(CsrForest::build(*forest_));
+        plan.push_back({options_.backend, Variant::Csr, &*cpu_csr, nullptr, nullptr,
                         "variant fil-baseline -> csr"});
       }
     }
@@ -360,24 +443,32 @@ RunReport Classifier::classify(const Dataset& queries) const {
       const std::string note =
           std::string("backend ") + to_string(options_.backend) + " -> cpu-native";
       if (hier_) {
-        plan.push_back({Backend::CpuNative, Variant::Independent, nullptr, &*hier_,
+        plan.push_back({Backend::CpuNative, Variant::Independent, nullptr, hier_.get(), nullptr,
                         note + " (independent)"});
       } else {
-        if (!csr_ && !cpu_csr) cpu_csr.emplace(CsrForest::build(forest_));
-        plan.push_back({Backend::CpuNative, Variant::Csr, csr_ ? &*csr_ : &*cpu_csr, nullptr,
-                        note + " (csr)"});
+        if (!csr_ && !cpu_csr) cpu_csr.emplace(CsrForest::build(*forest_));
+        plan.push_back({Backend::CpuNative, Variant::Csr, csr_ ? csr_.get() : &*cpu_csr, nullptr,
+                        nullptr, note + " (csr)"});
       }
     }
   }
 
   std::vector<std::string> degradations;
   std::string last_error;
-  for (const Attempt& a : plan) {
+  for (Attempt& a : plan) {
     if (!a.note.empty()) degradations.push_back("degrade: " + a.note);
+    if (a.shrink_rsd > 0) {
+      HierConfig cfg = options_.layout;
+      cfg.root_subtree_depth = a.shrink_rsd;
+      a.hier = &shrunk.emplace(HierarchicalForest::build(*forest_, cfg));
+      if (a.backend == Backend::GpuSim) {
+        a.packed = &shrunk_packed.emplace(gpukernels::pack_nodes(*shrunk));
+      }
+    }
     const int tries = 1 + std::max(0, fb.max_retries);
     for (int t = 0; t < tries; ++t) {
       try {
-        RunReport r = run_backend(a.backend, a.variant, a.csr, a.hier, queries);
+        RunReport r = run_backend(a.backend, a.variant, a.csr, a.hier, a.packed, queries);
         r.degradations = std::move(degradations);
         return r;
       } catch (const ResourceError& e) {

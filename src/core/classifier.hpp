@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "gpusim/config.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
+#include "gpukernels/packed_node.hpp"
 #include "util/histogram.hpp"
 #include "util/trace.hpp"
 #include "layout/csr.hpp"
@@ -108,9 +111,13 @@ struct ClassifierOptions {
   FallbackPolicy fallback{};
 };
 
-/// The library's front door: owns a trained forest plus the inference
+/// The library's front door: holds a trained forest plus the inference
 /// layout(s) it was compiled into, and dispatches classification to the
 /// configured backend/variant.
+///
+/// The forest, the compiled layout and, on GpuSim, the packed node array
+/// the hierarchical kernels read are immutable and held by shared_ptr, so
+/// copies and twin() share one compiled model instead of rebuilding it.
 ///
 ///   Forest f = train_forest(train_set, TrainConfig{});
 ///   Classifier clf(std::move(f), {.variant = Variant::Hybrid,
@@ -138,6 +145,19 @@ class Classifier {
 
   /// Loads a serialized forest (Forest::save) and wraps it.
   static Classifier load(const std::string& path, ClassifierOptions options);
+
+  /// A classifier for different backend/variant `options` over this one's
+  /// storage: the forest is shared, and so is every compiled layout and
+  /// packed node array the new options can use unchanged (same layout
+  /// config); only what is missing is compiled. The serving layer builds
+  /// its CPU fallback replica this way.
+  Classifier twin(ClassifierOptions options) const;
+
+  /// Copy-and-swap: the same forest and options over a replacement layout
+  /// of the same kind (ConfigError on a kind or shape mismatch). This
+  /// classifier is left untouched.
+  Classifier with_layout(CsrForest layout) const;
+  Classifier with_layout(HierarchicalForest layout) const;
 
   /// Classifies a query batch. Queries are validated up front: a feature
   /// count differing from the model's, or any NaN/Inf feature value,
@@ -190,27 +210,60 @@ class Classifier {
                                const std::function<bool()>& cancel,
                                const trace::Span& parent) const;
 
-  const Forest& forest() const { return forest_; }
+  const Forest& forest() const { return *forest_; }
   const ClassifierOptions& options() const { return options_; }
   /// The hierarchical layout (built lazily; throws for CSR/FIL variants).
   const HierarchicalForest& hierarchical() const;
   const CsrForest& csr() const;
 
  private:
+  using PackedNodes = std::vector<gpukernels::PackedNode>;
+
   void check_variant_backend() const;
   void validate_queries(const Dataset& queries) const;
+  /// Holds `forest` with no layout yet; every public path then checks
+  /// the options and compiles or installs one.
+  Classifier(std::shared_ptr<const Forest> forest, ClassifierOptions options);
+  /// Adopts a precompiled layout (kind and shape checked).
+  void install(CsrForest layout);
+  void install(HierarchicalForest layout);
+  /// Compiles whatever layouts options_ needs and this classifier does not
+  /// hold yet: the CSR or hierarchical layout, plus its packed nodes on
+  /// GpuSim.
+  void compile();
   /// One backend execution against explicit layouts (the fallback chain
-  /// swaps these without touching the classifier's own state).
+  /// swaps these without touching the classifier's own state). `packed`
+  /// is hier's packed node array, required for hierarchical GpuSim runs.
   RunReport run_backend(Backend backend, Variant variant, const CsrForest* csr,
-                        const HierarchicalForest* hier, const Dataset& queries) const;
+                        const HierarchicalForest* hier, const PackedNodes* packed,
+                        const Dataset& queries) const;
   /// Largest RSD whose root subtree fits the configured backend's on-chip
   /// memory (0 when not applicable).
   int max_fitting_rsd() const;
 
-  Forest forest_;
+  friend class ResidentModels;
+
+  std::shared_ptr<const Forest> forest_;
   ClassifierOptions options_;
-  std::optional<CsrForest> csr_;
-  std::optional<HierarchicalForest> hier_;
+  std::shared_ptr<const CsrForest> csr_;
+  std::shared_ptr<const HierarchicalForest> hier_;
+  std::shared_ptr<const PackedNodes> packed_;  // GpuSim + hierarchical only
+};
+
+/// Memory held by a set of classifiers. Storage that classifiers share
+/// (the forest, a compiled layout, a packed node array) counts once, so a
+/// model installed in many places reads as one.
+class ResidentModels {
+ public:
+  void add(const Classifier& clf);
+  /// Distinct compiled layouts (CSR or hierarchical) seen.
+  std::size_t layouts() const;
+  /// Bytes of the distinct forests, layouts and packed node arrays seen.
+  std::size_t bytes() const;
+
+ private:
+  std::map<const void*, std::size_t> layouts_;  // layout -> its bytes
+  std::map<const void*, std::size_t> other_;    // forests, packed arrays
 };
 
 }  // namespace hrf

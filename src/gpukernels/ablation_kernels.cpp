@@ -12,10 +12,10 @@ namespace hrf::gpukernels {
 using detail::kWarpSize;
 
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
-                                const Dataset& queries) {
+                                std::span<const PackedNode> packed, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
+  require(packed.size() == forest.feature_id().size(), "packed nodes do not match the layout");
   const detail::QueryView q(device, queries);
-  const std::vector<PackedNode> packed = pack_nodes(forest);
   const gpusim::DeviceArray<PackedNode> nodes(device, packed);
   const gpusim::DeviceArray<std::uint32_t> node_offset(device, forest.subtree_node_offsets());
   const gpusim::DeviceArray<std::uint8_t> subtree_depth(device, forest.subtree_depths());

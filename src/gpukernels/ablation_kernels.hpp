@@ -15,7 +15,7 @@ namespace hrf::gpukernels {
 /// (read-modify-write), whose scattered traffic is what makes the paper
 /// report a 2-10x slowdown relative to the independent variant.
 KernelResult run_tree_per_block(gpusim::Device& device, const HierarchicalForest& forest,
-                                const Dataset& queries);
+                                std::span<const PackedNode> packed, const Dataset& queries);
 
 /// §5 (Goldfarb et al. discussion): lockstep traversal benefits from
 /// presorting similar queries into the same warps. Returns a permutation

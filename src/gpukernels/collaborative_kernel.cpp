@@ -19,11 +19,11 @@ constexpr std::uint32_t kDone = 0xffffffffu;
 /// work on deep levels — the paper measures a 10-20x slowdown vs. the
 /// independent variant, which this model reproduces.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const Dataset& queries) {
+                               std::span<const PackedNode> packed, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
+  require(packed.size() == forest.feature_id().size(), "packed nodes do not match the layout");
   const auto& cfg = device.config();
   const detail::QueryView q(device, queries);
-  const std::vector<PackedNode> packed = pack_nodes(forest);
   const gpusim::DeviceArray<PackedNode> nodes(device, packed);
   const gpusim::DeviceArray<std::int32_t> connection(device, forest.subtree_connection());
 

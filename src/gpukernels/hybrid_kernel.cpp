@@ -18,8 +18,9 @@ using detail::kWarpSize;
 /// subtree must fit in shared memory: (2^RSD - 1) * 8 B <= 48 KB, i.e.
 /// RSD <= 12 on the TITAN Xp — which is why Table 2 stops at RSD 12.
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const Dataset& queries) {
+                        std::span<const PackedNode> packed, const Dataset& queries) {
   require(forest.num_features() == queries.num_features(), "query width != forest features");
+  require(packed.size() == forest.feature_id().size(), "packed nodes do not match the layout");
   const auto& cfg = device.config();
 
   // Shared-memory capacity check mirrors the real kernel's launch failure.
@@ -33,7 +34,6 @@ KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest
   }
 
   const detail::QueryView q(device, queries);
-  const std::vector<PackedNode> packed = pack_nodes(forest);
   const gpusim::DeviceArray<PackedNode> nodes(device, packed);
   const gpusim::DeviceArray<std::uint32_t> node_offset(device, forest.subtree_node_offsets());
   const gpusim::DeviceArray<std::uint8_t> subtree_depth(device, forest.subtree_depths());

@@ -1,12 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/dataset.hpp"
 #include "forest/forest.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
+#include "gpukernels/packed_node.hpp"
 #include "layout/csr.hpp"
 #include "layout/hierarchical.hpp"
 
@@ -24,25 +26,30 @@ struct KernelResult {
 /// (paper §2.3). Four dependent global loads per traversal step.
 KernelResult run_csr(gpusim::Device& device, const CsrForest& csr, const Dataset& queries);
 
+// The hierarchical kernels read node attributes from `packed`, the
+// layout's packed records (pack_nodes(forest)). The caller packs once per
+// compiled layout and passes the same array to every launch, as a real
+// deployment keeps the layout resident on the device (paper §3.1-3.2).
+
 /// Independent code variant on the hierarchical layout (§3.2): one thread
 /// per query, subtrees read from global memory, arithmetic child indexing
 /// inside subtrees.
 KernelResult run_independent(gpusim::Device& device, const HierarchicalForest& forest,
-                             const Dataset& queries);
+                             std::span<const PackedNode> packed, const Dataset& queries);
 
 /// Collaborative code variant (§3.2): subtrees are batch-loaded into
 /// shared memory and *every* query is walked through *every* subtree in
 /// lock-step. Kept for completeness — the paper reports it 10-20x slower
 /// than the independent variant on GPU.
 KernelResult run_collaborative(gpusim::Device& device, const HierarchicalForest& forest,
-                               const Dataset& queries);
+                               std::span<const PackedNode> packed, const Dataset& queries);
 
 /// Hybrid code variant (§3.2): each tree's root subtree is cooperatively
 /// staged into shared memory (stage 1, coalesced + divergence-free
 /// residency), remaining subtrees are traversed independently from global
 /// memory (stage 2).
 KernelResult run_hybrid(gpusim::Device& device, const HierarchicalForest& forest,
-                        const Dataset& queries);
+                        std::span<const PackedNode> packed, const Dataset& queries);
 
 /// cuML Forest Inference Library stand-in: per-tree nodes packed as
 /// 16-byte structs with adjacent children (FIL's sparse storage), one

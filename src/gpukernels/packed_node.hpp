@@ -22,8 +22,9 @@ struct PackedNode {
 };
 static_assert(sizeof(PackedNode) == 8);
 
-/// Interleaves the layout's attribute arrays into packed records (done
-/// once at kernel setup, modeling the on-device layout).
+/// Interleaves the layout's attribute arrays into packed records, one per
+/// stored node. Done once per compiled layout (the on-device image the
+/// hierarchical kernels read), never per launch.
 inline std::vector<PackedNode> pack_nodes(const HierarchicalForest& forest) {
   const auto fid = forest.feature_id();
   const auto val = forest.value();

@@ -11,14 +11,16 @@
 //   * layout_crc32() — a replica checksum over a *built* layout, defined
 //     to equal the chained per-section CRC32s that layout_io writes into
 //     the v2 blob for the same layout (a cross-check property the tests
-//     pin). The scrubber captures it per worker at install time and
-//     re-verifies it on a timer; any drift means silent memory corruption.
+//     pin). It is captured once per compiled model (when the monitor is
+//     armed), and the scrubber re-verifies every installed replica against
+//     it on a timer; any drift means silent memory corruption.
 //   * corrupt_replica_copy() — the corrupt:replica fault payload: a deep
 //     copy of a layout with every internal-node threshold clobbered.
 //     Structural validation still passes (topology is untouched), so only
 //     the scrubber's CRC or a shadow audit can catch it — which is the
-//     point. The copy-and-swap shape keeps readers race-free: a live
-//     replica's bytes are never mutated in place.
+//     point. The copy-and-swap shape keeps readers race-free and keeps
+//     the damage on one worker: a live replica's bytes, which every other
+//     worker slot shares, are never mutated in place.
 //   * IntegrityOptions / SelfHealStats — the server-facing configuration
 //     and drain-time summary of the scrubber, the sampled shadow audits,
 //     and the worker watchdog.
@@ -68,6 +70,12 @@ struct IntegrityOptions {
   /// hang:worker fault site: how long a wedged worker sleeps at dispatch.
   /// Finite (unlike a real hang) so runs without a watchdog still drain.
   double inject_hang_seconds = 0.05;
+
+  /// Whether any part of the monitor is on (the server then runs the
+  /// monitor thread and its compiled models carry a reference CRC).
+  bool armed() const {
+    return scrub_interval_seconds > 0.0 || hang_timeout_seconds > 0.0 || audit_sample_every > 0;
+  }
 };
 
 /// Self-heal ledger reported on drain (and as scrub.*/audit.*/watchdog.*

@@ -1,10 +1,12 @@
 // ForestServer's model-lifecycle state machine (docs/model-lifecycle.md):
 //
-//   load -> validate -> shadow -> build -> canary -> promote -> watch
+//   load -> validate -> shadow -> canary -> promote -> watch
 //
 // Every phase runs on the caller's thread (typically the store watcher),
 // never on a worker — workers keep serving the previous generation until
-// their slot pointer flips, and flip back automatically on rollback.
+// their slot pointer flips, and flip back automatically on rollback. The
+// candidate is compiled once (validate) and that one installation flips
+// into every slot; rollback reinstalls the previous shared installation.
 
 #include <algorithm>
 #include <chrono>
@@ -126,23 +128,25 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
     }
     end_phase("load", t);
   }
-  const CsrForest* csr = model.csr ? &*model.csr : nullptr;
-  const HierarchicalForest* hier = model.hier ? &*model.hier : nullptr;
 
-  // --- validate: can this model actually be built into our replica
-  // configuration? (layout-kind vs variant, feature/class shape) --------
+  // --- validate: compile the one candidate every worker will share. The
+  // build itself checks it fits our replica configuration (layout kind
+  // vs variant, feature/class shape) --------------------------------------
   auto health = std::make_shared<ModelHealth>();
-  std::shared_ptr<const WorkerModel> candidate0;
+  std::shared_ptr<const WorkerModel> candidate;
   {
     WallTimer t = begin_phase("validate");
     try {
-      candidate0 = build_worker_model(model.forest, csr, hier, gen, health);
+      const bool for_integrity = options_.integrity.armed();
+      candidate = make_worker_model(*compile_model(std::move(model), classifier_options_, for_integrity),
+                                    health);
     } catch (const Error& e) {
       end_phase("validate", t);
       return finish(ReloadOutcome::RejectedValidation, e.what());
     }
     end_phase("validate", t);
   }
+  const Forest& forest = candidate->primary->forest();
 
   // --- shadow: differential run against the CPU reference oracle ------
   if (opts.shadow_validation) {
@@ -150,15 +154,15 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
     std::optional<Dataset> generated;
     if (opts.probe == nullptr) {
       generated = make_random_queries(opts.shadow_queries,
-                                      static_cast<int>(model.forest.num_features()),
+                                      static_cast<int>(forest.num_features()),
                                       opts.shadow_seed);
     }
     const Dataset& probe = opts.probe ? *opts.probe : *generated;
     rep.shadow_queries = probe.num_samples();
     try {
       const std::vector<std::uint8_t> expected =
-          model.forest.classify_batch(probe.features(), probe.num_samples());
-      const RunReport got = candidate0->primary->classify(probe);
+          forest.classify_batch(probe.features(), probe.num_samples());
+      const RunReport got = candidate->primary->classify(probe);
       std::size_t mismatches = 0;
       for (std::size_t i = 0; i < expected.size(); ++i) {
         if (got.predictions.at(i) != expected[i]) ++mismatches;
@@ -180,31 +184,14 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
     end_phase("shadow", t);
   }
 
-  // --- build: replicas for the remaining workers ----------------------
-  std::vector<std::shared_ptr<const WorkerModel>> candidates(options_.num_workers);
-  candidates[0] = candidate0;
-  {
-    WallTimer t = begin_phase("build");
-    try {
-      for (std::size_t w = 1; w < options_.num_workers; ++w) {
-        candidates[w] = build_worker_model(model.forest, csr, hier, gen, health);
-      }
-    } catch (const Error& e) {
-      end_phase("build", t);
-      return finish(ReloadOutcome::RejectedValidation, e.what());
-    }
-    end_phase("build", t);
-  }
-
-  // Pre-flip snapshot of every slot: what rollback restores.
-  std::vector<std::shared_ptr<const WorkerModel>> previous(options_.num_workers);
-  for (std::size_t w = 0; w < options_.num_workers; ++w) previous[w] = model_for(w);
+  // What rollback restores, in every slot.
+  const std::shared_ptr<const WorkerModel> previous = serving();
 
   // --- canary: candidate serves on worker 0 only; it must prove itself
   // with live traffic before anyone else flips -------------------------
   if (opts.canary_success_requests > 0) {
     WallTimer t = begin_phase("canary");
-    install_model(0, candidates[0]);
+    install_model(0, candidate);
     const SteadyClock::time_point deadline =
         SteadyClock::now() + to_duration(opts.canary_timeout_seconds);
     std::string failure;
@@ -230,7 +217,7 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
       std::this_thread::sleep_for(kPollTick);
     }
     if (!failure.empty()) {
-      install_model(0, previous[0]);  // old model resumes on the canary worker
+      install_model(0, previous);  // old model resumes on the canary worker
       end_phase("canary", t);
       return finish(ReloadOutcome::RolledBackCanary, failure);
     }
@@ -240,7 +227,8 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
   // --- promote: flip every worker's slot ------------------------------
   {
     WallTimer t = begin_phase("promote");
-    for (std::size_t w = 0; w < options_.num_workers; ++w) install_model(w, candidates[w]);
+    set_serving(candidate);
+    for (std::size_t w = 0; w < options_.num_workers; ++w) install_model(w, candidate);
     current_generation_.store(gen, std::memory_order_release);
     end_phase("promote", t);
   }
@@ -275,7 +263,8 @@ ReloadReport ForestServer::reload(const ModelStore& store, std::uint64_t gen,
       std::this_thread::sleep_for(kPollTick);
     }
     if (!failure.empty()) {
-      for (std::size_t w = 0; w < options_.num_workers; ++w) install_model(w, previous[w]);
+      set_serving(previous);
+      for (std::size_t w = 0; w < options_.num_workers; ++w) install_model(w, previous);
       current_generation_.store(rep.from_generation, std::memory_order_release);
       end_phase("watch", t);
       return finish(ReloadOutcome::RolledBackPostPromotion, failure);

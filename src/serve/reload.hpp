@@ -5,13 +5,14 @@
 // implemented by ForestServer (serve/reload.cpp) over the versioned
 // ModelStore (serve/model_store.hpp):
 //
-//   load -> validate -> shadow -> build -> canary -> promote -> watch
+//   load -> validate -> shadow -> canary -> promote -> watch
 //
 // Any failing phase rejects (before promotion) or rolls back (after),
 // and the previous generation keeps serving throughout — in-flight
 // requests always finish on the model they started on, and a request
-// never observes a half-loaded forest (per-worker replicas swap via a
-// mutex-guarded shared-pointer flip between requests).
+// never observes a half-loaded forest (each worker slot swaps to the one
+// shared candidate via a mutex-guarded shared-pointer flip between
+// requests).
 
 #include <cstdint>
 #include <string>

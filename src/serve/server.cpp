@@ -64,6 +64,20 @@ std::optional<std::uint32_t> classifier_layout_crc(const Classifier& clf) {
   }
 }
 
+/// The fallback twin over its own copy of the primary's forest and
+/// layout, for a model whose twin serves as the integrity oracle.
+Classifier independent_twin(const Classifier& primary, const ClassifierOptions& fb) {
+  Forest forest = primary.forest();
+  switch (primary.options().variant) {
+    case Variant::Csr:
+      return Classifier(std::move(forest), CsrForest(primary.csr()), fb);
+    case Variant::FilBaseline:
+      return Classifier(std::move(forest), fb);  // no resident layout to copy
+    default:
+      return Classifier(std::move(forest), HierarchicalForest(primary.hierarchical()), fb);
+  }
+}
+
 }  // namespace
 
 void ForestServer::validate_options() const {
@@ -96,32 +110,67 @@ void ForestServer::validate_options() const {
           "integrity.inject_hang_seconds must be >= 0");
 }
 
-std::shared_ptr<const ForestServer::WorkerModel> ForestServer::build_worker_model(
-    const Forest& forest, const CsrForest* csr, const HierarchicalForest* hier,
-    std::uint64_t generation, std::shared_ptr<ModelHealth> health) const {
-  ClassifierOptions fb = classifier_options_;
+std::shared_ptr<const CompiledModel> compile_model(Classifier primary, std::uint64_t generation,
+                                                   bool for_integrity) {
+  ClassifierOptions fb = primary.options();
   fb.backend = Backend::CpuNative;
-  fb.variant = fallback_variant(classifier_options_.variant);
+  fb.variant = fallback_variant(fb.variant);
   fb.fallback = FallbackPolicy{};  // the CPU path has nothing to degrade to
 
-  auto model = std::make_shared<WorkerModel>();
+  auto model = std::make_shared<CompiledModel>();
+  model->fallback = std::make_shared<const Classifier>(
+      for_integrity ? independent_twin(primary, fb) : primary.twin(fb));
+  model->primary = std::make_shared<const Classifier>(std::move(primary));
+  model->generation = generation;
+  model->for_integrity = for_integrity;
+  if (for_integrity) model->layout_crc = classifier_layout_crc(*model->primary);
+  return model;
+}
+
+std::shared_ptr<const CompiledModel> compile_model(LoadedModel model,
+                                                   const ClassifierOptions& classifier_options,
+                                                   bool for_integrity) {
   // Precompiled layout when the store supplied one (shape/kind checked by
   // the Classifier ctor); otherwise compile from the forest.
-  if (csr != nullptr) {
-    model->primary = std::make_shared<const Classifier>(forest, *csr, classifier_options_);
-  } else if (hier != nullptr) {
-    model->primary = std::make_shared<const Classifier>(forest, *hier, classifier_options_);
-  } else {
-    model->primary = std::make_shared<const Classifier>(forest, classifier_options_);
+  Forest& forest = model.forest;
+  if (model.csr) {
+    return compile_model(Classifier(std::move(forest), std::move(*model.csr), classifier_options),
+                         model.generation, for_integrity);
   }
-  // The fallback twin always compiles its own (cheap) CPU layout.
-  model->fallback = std::make_shared<const Classifier>(forest, fb);
-  model->generation = generation;
-  model->health = std::move(health);
-  // Scrubber reference: recaptured on every legitimate install (ctor,
-  // reload, repair) because they all build their models right here.
-  model->layout_crc = classifier_layout_crc(*model->primary);
-  return model;
+  if (model.hier) {
+    return compile_model(Classifier(std::move(forest), std::move(*model.hier), classifier_options),
+                         model.generation, for_integrity);
+  }
+  return compile_model(Classifier(std::move(forest), classifier_options), model.generation,
+                       for_integrity);
+}
+
+std::shared_ptr<const CompiledModel> compile_current(const ModelStore& store,
+                                                     const ClassifierOptions& classifier_options,
+                                                     bool for_integrity) {
+  const std::optional<std::uint64_t> cur = store.current();
+  if (!cur) {
+    throw ConfigError("model store has no complete generation to serve: " + store.dir());
+  }
+  return compile_model(store.load(*cur), classifier_options, for_integrity);
+}
+
+std::shared_ptr<ForestServer::WorkerModel> ForestServer::make_worker_model(
+    const CompiledModel& model, std::shared_ptr<ModelHealth> health) {
+  auto m = std::make_shared<WorkerModel>();
+  static_cast<CompiledModel&>(*m) = model;
+  m->health = std::move(health);
+  return m;
+}
+
+std::shared_ptr<const ForestServer::WorkerModel> ForestServer::serving() const {
+  std::lock_guard<std::mutex> lock(serving_mu_);
+  return serving_;
+}
+
+void ForestServer::set_serving(std::shared_ptr<const WorkerModel> m) {
+  std::lock_guard<std::mutex> lock(serving_mu_);
+  serving_ = std::move(m);
 }
 
 std::shared_ptr<const ForestServer::WorkerModel> ForestServer::model_for(std::size_t w) const {
@@ -149,7 +198,7 @@ void ForestServer::start_workers() {
   for (std::size_t w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
   }
-  if (integrity_enabled()) monitor_ = std::thread([this] { monitor_loop(); });
+  if (options_.integrity.armed()) monitor_ = std::thread([this] { monitor_loop(); });
 }
 
 namespace {
@@ -182,10 +231,9 @@ void ForestServer::flight_event(const char* category, const char* name,
   }
 }
 
-ForestServer::ForestServer(Forest forest, ClassifierOptions classifier_options,
-                           ServerOptions options)
+ForestServer::ForestServer(std::shared_ptr<const CompiledModel> model, ServerOptions options)
     : options_(options),
-      classifier_options_(classifier_options),
+      classifier_options_(model->primary->options()),
       slots_(options.num_workers),
       breaker_(wire_breaker_events(options.breaker, options.flight_recorder,
                                    options.flight_scope)),
@@ -194,38 +242,26 @@ ForestServer::ForestServer(Forest forest, ClassifierOptions classifier_options,
   batch_granularity_ = backend_batch_granularity(classifier_options_.backend,
                                                  classifier_options_.gpu);
   if (options_.quotas.enabled()) quotas_.emplace(options_.quotas, options_.queue_capacity);
-  auto health = std::make_shared<ModelHealth>();
-  for (std::size_t w = 0; w < options_.num_workers; ++w) {
-    install_model(w, build_worker_model(forest, nullptr, nullptr, 0, health));
-  }
+  require(!options_.integrity.armed() || model->for_integrity,
+          "an armed integrity monitor needs a model compiled for integrity");
+  const std::shared_ptr<const WorkerModel> installed =
+      make_worker_model(*model, std::make_shared<ModelHealth>());
+  set_serving(installed);
+  for (std::size_t w = 0; w < options_.num_workers; ++w) install_model(w, installed);
+  current_generation_.store(model->generation, std::memory_order_release);
   start_workers();
 }
 
+ForestServer::ForestServer(Forest forest, ClassifierOptions classifier_options,
+                           ServerOptions options)
+    : ForestServer(compile_model(Classifier(std::move(forest), classifier_options), 0,
+                                 options.integrity.armed()),
+                   options) {}
+
 ForestServer::ForestServer(const ModelStore& store, ClassifierOptions classifier_options,
                            ServerOptions options)
-    : options_(options),
-      classifier_options_(classifier_options),
-      slots_(options.num_workers),
-      breaker_(wire_breaker_events(options.breaker, options.flight_recorder,
-                                   options.flight_scope)),
-      tracer_({options.trace_sampling, options.trace_capacity}) {
-  validate_options();
-  batch_granularity_ = backend_batch_granularity(classifier_options_.backend,
-                                                 classifier_options_.gpu);
-  if (options_.quotas.enabled()) quotas_.emplace(options_.quotas, options_.queue_capacity);
-  const std::optional<std::uint64_t> cur = store.current();
-  if (!cur) {
-    throw ConfigError("model store has no complete generation to serve: " + store.dir());
-  }
-  const LoadedModel m = store.load(*cur);
-  auto health = std::make_shared<ModelHealth>();
-  for (std::size_t w = 0; w < options_.num_workers; ++w) {
-    install_model(w, build_worker_model(m.forest, m.csr ? &*m.csr : nullptr,
-                                        m.hier ? &*m.hier : nullptr, m.generation, health));
-  }
-  current_generation_.store(m.generation, std::memory_order_release);
-  start_workers();
-}
+    : ForestServer(compile_current(store, classifier_options, options.integrity.armed()),
+                   options) {}
 
 ForestServer::~ForestServer() {
   try {
@@ -450,7 +486,19 @@ ServerStats ForestServer::stats() const {
   s.reloads_promoted = counters_.value("reload.promoted");
   s.reloads_rejected = counters_.value("reload.rejected");
   s.reloads_rolled_back = counters_.value("reload.rolled_back");
+  ResidentModels resident;
+  add_resident(resident);
+  s.resident_layouts = resident.layouts();
+  s.resident_model_bytes = resident.bytes();
   return s;
+}
+
+void ForestServer::add_resident(ResidentModels& into) const {
+  for (std::size_t w = 0; w < options_.num_workers; ++w) {
+    const std::shared_ptr<const WorkerModel> m = model_for(w);
+    into.add(*m->primary);
+    into.add(*m->fallback);
+  }
 }
 
 std::vector<ReloadReport> ForestServer::reload_history() const {
@@ -1010,12 +1058,6 @@ RunReport ForestServer::run_one(const Classifier& clf, const Request& req,
 
 // --- Integrity monitor (scrubber / shadow audits / watchdog) ------------
 
-bool ForestServer::integrity_enabled() const {
-  const IntegrityOptions& i = options_.integrity;
-  return i.scrub_interval_seconds > 0.0 || i.hang_timeout_seconds > 0.0 ||
-         i.audit_sample_every > 0;
-}
-
 SelfHealStats ForestServer::self_heal() const {
   SelfHealStats s;
   s.scrub_passes = counters_.value("scrub.passes");
@@ -1227,12 +1269,15 @@ void ForestServer::watchdog_answer(std::size_t w, Request req) {
 }
 
 void ForestServer::scrub_pass() {
+  // Slots normally share one model: verify each distinct replica once.
+  std::map<const Classifier*, bool> verified;
   for (std::size_t w = 0; w < options_.num_workers; ++w) {
     const std::shared_ptr<const WorkerModel> m = model_for(w);
     if (!m->layout_crc) continue;  // FilBaseline: nothing resident to scrub
     counters_.add("scrub.passes");
-    const std::optional<std::uint32_t> live = classifier_layout_crc(*m->primary);
-    if (live && *live == *m->layout_crc) continue;
+    const auto [it, fresh] = verified.try_emplace(m->primary.get(), false);
+    if (fresh) it->second = classifier_layout_crc(*m->primary) == m->layout_crc;
+    if (it->second) continue;
     counters_.add("scrub.corruptions");
     flight_event("integrity", "scrub_corruption", "worker " + std::to_string(w));
     repair_replica(w, m);
@@ -1240,43 +1285,55 @@ void ForestServer::scrub_pass() {
 }
 
 void ForestServer::repair_replica(std::size_t w, std::shared_ptr<const WorkerModel> suspect) {
-  // Quarantine first: the CPU oracle replica (never corrupted — audits
-  // and rescues already trust it) takes over as primary, so this worker
-  // keeps answering correctly for the whole rebuild.
-  auto degraded = std::make_shared<WorkerModel>();
+  // Quarantine first: the CPU oracle replica (its own copy of the forest
+  // and layout, so damage to the primary's storage never reaches it —
+  // audits and rescues already trust it) takes over as primary, so this
+  // worker keeps answering correctly for the whole rebuild.
+  auto degraded = std::make_shared<WorkerModel>(*suspect);
   degraded->primary = suspect->fallback;
-  degraded->fallback = suspect->fallback;
-  degraded->generation = suspect->generation;
-  degraded->health = suspect->health;
   degraded->layout_crc = classifier_layout_crc(*suspect->fallback);
   if (!install_model_if(w, suspect, degraded)) return;  // a reload got there first
   flight_event("integrity", "replica_quarantined", "worker " + std::to_string(w));
   runtimes_[w]->audit_streak.store(0, std::memory_order_relaxed);
 
-  // Rebuild. Preferred source: the store's current generation, whose blob
-  // CRCs are re-verified on read; otherwise recompile from the pristine
-  // in-memory forest the fallback replica carries.
-  std::shared_ptr<const WorkerModel> fresh;
-  if (!options_.integrity.rebuild_store_dir.empty()) {
-    try {
-      const ModelStore store = ModelStore::open(options_.integrity.rebuild_store_dir);
-      const std::optional<std::uint64_t> cur = store.current();
-      if (cur && *cur == suspect->generation) {
-        const LoadedModel lm = store.load(*cur);
-        fresh = build_worker_model(lm.forest, lm.csr ? &*lm.csr : nullptr,
-                                   lm.hier ? &*lm.hier : nullptr, lm.generation, suspect->health);
+  // First choice: the shared installation of this generation that the
+  // other slots hold, if it is not the suspect and its layout still
+  // verifies — corrupt:replica damages a private copy on one worker, and
+  // reinstalling the original keeps one model resident.
+  std::shared_ptr<const WorkerModel> fresh = serving();
+  if (fresh == suspect || fresh->generation != suspect->generation ||
+      (fresh->layout_crc && classifier_layout_crc(*fresh->primary) != fresh->layout_crc)) {
+    // Rebuild. Preferred source: the store's current generation, whose
+    // blob CRCs are re-verified on read; otherwise recompile from the
+    // in-memory forest.
+    std::shared_ptr<const CompiledModel> rebuilt;
+    if (!options_.integrity.rebuild_store_dir.empty()) {
+      try {
+        const ModelStore store = ModelStore::open(options_.integrity.rebuild_store_dir);
+        const std::optional<std::uint64_t> cur = store.current();
+        if (cur && *cur == suspect->generation) {
+          rebuilt = compile_model(store.load(*cur), classifier_options_, true);
+        }
+      } catch (const std::exception&) {
+        rebuilt = nullptr;  // unusable store: recompile below instead
       }
-    } catch (const std::exception&) {
-      fresh = nullptr;  // unusable store: recompile below instead
     }
-  }
-  if (!fresh) {
-    try {
-      fresh = build_worker_model(suspect->fallback->forest(), nullptr, nullptr,
-                                 suspect->generation, suspect->health);
-    } catch (const std::exception&) {
-      return;  // keep serving degraded-but-correct on the oracle
+    if (!rebuilt) {
+      try {
+        LoadedModel lm;
+        lm.generation = suspect->generation;
+        lm.forest = suspect->fallback->forest();
+        rebuilt = compile_model(std::move(lm), classifier_options_, true);
+      } catch (const std::exception&) {
+        return;  // keep serving degraded-but-correct on the oracle
+      }
     }
+    // Same health ledger: a reload canary or watch may be reading it.
+    fresh = make_worker_model(*rebuilt, suspect->health);
+    // A corrupted shared installation is replaced for every slot the
+    // scrubber repairs after this one.
+    std::lock_guard<std::mutex> lock(serving_mu_);
+    if (serving_ == suspect) serving_ = fresh;
   }
   if (install_model_if(w, degraded, std::move(fresh))) {
     counters_.add("scrub.repairs");
@@ -1288,25 +1345,18 @@ void ForestServer::inject_replica_corruption() {
   const std::size_t w = corrupt_rr_++ % options_.num_workers;
   const std::shared_ptr<const WorkerModel> m = model_for(w);
   if (!m->layout_crc) return;  // FilBaseline: no resident layout to corrupt
-  auto poisoned = std::make_shared<WorkerModel>();
+  // Copy-and-swap: a private corrupted copy of the layout goes into this
+  // slot only. The reference CRC stays pristine, so the live layout now
+  // drifts from it, which only the scrubber/audits can see.
+  auto poisoned = std::make_shared<WorkerModel>(*m);
   try {
-    if (m->primary->options().variant == Variant::Csr) {
-      poisoned->primary = std::make_shared<const Classifier>(
-          m->primary->forest(), corrupt_replica_copy(m->primary->csr()), classifier_options_);
-    } else {
-      poisoned->primary = std::make_shared<const Classifier>(
-          m->primary->forest(), corrupt_replica_copy(m->primary->hierarchical()),
-          classifier_options_);
-    }
+    poisoned->primary = std::make_shared<const Classifier>(
+        m->primary->options().variant == Variant::Csr
+            ? m->primary->with_layout(corrupt_replica_copy(m->primary->csr()))
+            : m->primary->with_layout(corrupt_replica_copy(m->primary->hierarchical())));
   } catch (const std::exception&) {
     return;  // e.g. a stump forest with no internal node: nothing to flip
   }
-  poisoned->fallback = m->fallback;
-  poisoned->generation = m->generation;
-  poisoned->health = m->health;
-  // Keep the pristine reference CRC: the whole point is that the live
-  // layout now drifts from it, which only the scrubber/audits can see.
-  poisoned->layout_crc = m->layout_crc;
   install_model_if(w, m, std::move(poisoned));
 }
 

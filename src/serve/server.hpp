@@ -2,10 +2,11 @@
 
 // Concurrent serving layer over the Classifier (docs/serving.md).
 //
-// A ForestServer owns a pool of worker threads, each holding its own
-// Classifier replica (primary backend) plus a CPU-native fallback
-// replica, fed from one bounded MPMC request queue. Robustness features,
-// in request order:
+// A ForestServer owns a pool of worker threads fed from one bounded MPMC
+// request queue. Every worker serves the same CompiledModel: one primary
+// Classifier plus its CPU-native fallback twin, compiled once per model
+// generation and shared by every worker slot (and by every shard of a
+// cluster router). Robustness features, in request order:
 //
 //   admission   queue full -> submit() throws OverloadError immediately
 //               (bounded memory, fast feedback) instead of queueing
@@ -24,14 +25,14 @@
 //               requests up to a drain deadline, and fails whatever is
 //               left with ShutdownError, reporting counts.
 //   reload      zero-downtime model swap from a versioned ModelStore:
-//               candidate replicas are built off-thread, shadow-validated
+//               the candidate is compiled once off-thread, shadow-validated
 //               against the CPU oracle, canaried on one worker, then
 //               promoted via an atomic per-worker slot flip — with
 //               automatic rollback on any failure (serve/reload.hpp,
 //               docs/model-lifecycle.md).
 //   integrity   runtime silent-corruption defense (serve/integrity.hpp):
 //               a background scrubber re-verifies each replica's layout
-//               CRC against the value captured at install; sampled shadow
+//               CRC against the compiled model's reference CRC; sampled shadow
 //               audits re-execute every Nth request on the CPU oracle
 //               (serving the oracle's answer on divergence); a watchdog
 //               answers a hung worker's in-flight request on the oracle
@@ -45,10 +46,11 @@
 // FallbackPolicy propagate into each response's RunReport.
 //
 // Model hot-swap memory model: each worker owns a *slot* holding a
-// shared_ptr to an immutable WorkerModel (primary + fallback replica +
-// generation + shared health counters). A worker snapshots the pointer
-// once per request, so an in-flight request finishes entirely on the
-// model it started with; reload flips the pointers between requests.
+// shared_ptr to an immutable WorkerModel (the compiled model + shared
+// health counters); normally every slot holds the same one. A worker
+// snapshots the pointer once per request, so an in-flight request
+// finishes entirely on the model it started with; reload flips the
+// pointers between requests.
 // Slots are mutex-guarded (uncontended in steady state — one lock per
 // request) rather than lock-free, keeping the swap trivially TSan-clean.
 
@@ -83,6 +85,48 @@ namespace hrf::serve {
 
 class ModelStore;
 struct LoadedModel;
+
+/// One model generation compiled for serving: the primary replica and its
+/// CPU-native fallback twin. Immutable, built once per generation, and
+/// installed in every worker slot of every server that serves it.
+///
+/// Without an integrity monitor the twin shares the primary's forest and
+/// layout storage (Classifier::twin). With one, the twin is the audit
+/// oracle and the quarantine primary, so it holds its own copy of the
+/// forest and layout: damage to the primary's storage cannot reach it.
+struct CompiledModel {
+  std::shared_ptr<const Classifier> primary;
+  std::shared_ptr<const Classifier> fallback;
+  std::uint64_t generation = 0;
+  /// Compiled for an armed integrity monitor: the twin holds its own
+  /// storage and the reference CRC below was captured.
+  bool for_integrity = false;
+  /// Reference CRC of the primary's resident layout (layout_crc32), which
+  /// the integrity scrubber compares each replica against. Captured only
+  /// when compiled for an armed integrity monitor, its only reader; always
+  /// disengaged for FilBaseline, whose layout is built inside the kernel
+  /// with nothing resident to scrub.
+  std::optional<std::uint32_t> layout_crc;
+};
+
+/// Compiles `primary` for serving: derives the fallback twin and, when
+/// `for_integrity`, gives that twin its own storage and captures the
+/// reference layout CRC. The only place a reference CRC is computed.
+std::shared_ptr<const CompiledModel> compile_model(Classifier primary, std::uint64_t generation,
+                                                   bool for_integrity);
+
+/// Compiles a loaded generation with its precompiled layout (from the
+/// forest when it carries none); ConfigError when the layout kind or
+/// shape does not fit `classifier_options`.
+std::shared_ptr<const CompiledModel> compile_model(LoadedModel model,
+                                                   const ClassifierOptions& classifier_options,
+                                                   bool for_integrity);
+
+/// compile_model() of the store's current generation; ConfigError when
+/// the store has no complete generation.
+std::shared_ptr<const CompiledModel> compile_current(const ModelStore& store,
+                                                     const ClassifierOptions& classifier_options,
+                                                     bool for_integrity);
 
 /// Server-level retry of transient primary-backend failures. Distinct
 /// from FallbackPolicy::max_retries (which retries *inside* one classify
@@ -195,6 +239,12 @@ struct ServerStats {
   std::uint64_t reloads_promoted = 0;
   std::uint64_t reloads_rejected = 0;
   std::uint64_t reloads_rolled_back = 0;
+  /// Compiled models resident in the worker slots (primary and fallback
+  /// replicas): distinct layouts, and the bytes of the distinct forests,
+  /// layouts and packed node arrays (ResidentModels). A model every slot
+  /// shares counts once.
+  std::size_t resident_layouts = 0;
+  std::size_t resident_model_bytes = 0;
 };
 
 /// Per-stage latency distributions (docs/benchmarking.md): queue wait
@@ -227,9 +277,14 @@ struct DrainReport {
 
 class ForestServer {
  public:
-  /// Builds per-worker primary replicas from (forest, classifier_options)
-  /// and per-worker CPU-native fallback replicas, then starts the worker
-  /// pool (paused when options.start_paused).
+  /// Installs `model` in every worker slot, then starts the worker pool
+  /// (paused when options.start_paused). Its generation becomes the
+  /// serving generation. The one construction path: the constructors
+  /// below compile a model and delegate here, and a cluster router hands
+  /// the same model to every shard.
+  ForestServer(std::shared_ptr<const CompiledModel> model, ServerOptions options);
+
+  /// Compiles (forest, classifier_options) once as generation 0.
   ForestServer(Forest forest, ClassifierOptions classifier_options, ServerOptions options);
 
   /// Serves the store's current generation (precompiled layout blob);
@@ -288,6 +343,9 @@ class ForestServer {
   /// Self-heal ledger: scrubber passes/repairs, shadow-audit samples and
   /// mismatches, watchdog rescues. All zero with integrity off.
   SelfHealStats self_heal() const;
+  /// Adds the replicas installed in every worker slot to `into`; a
+  /// cluster router folds all its shards into one set.
+  void add_resident(ResidentModels& into) const;
 
   /// The request tracer (sampling per options().trace_sampling). Read
   /// retained traces with tracer().slowest(n) / traces().
@@ -303,9 +361,9 @@ class ForestServer {
   // --- Model lifecycle (implemented in serve/reload.cpp) ---------------
 
   /// Atomically hot-reloads generation `gen` from `store` through the
-  /// full state machine (load -> validate -> shadow -> build -> canary ->
-  /// promote -> watch). Serving never stops: every phase runs off the
-  /// worker threads, and on any rejection or rollback the previous model
+  /// full state machine (load -> validate -> shadow -> canary -> promote
+  /// -> watch). Serving never stops: every phase runs off the worker
+  /// threads, and on any rejection or rollback the previous model
   /// keeps serving. Concurrent reload() calls are serialized. Never
   /// throws for model problems — the outcome is in the returned report.
   ReloadReport reload(const ModelStore& store, std::uint64_t gen,
@@ -346,20 +404,11 @@ class ForestServer {
     std::atomic<std::uint64_t> primary_errors{0};  // primary exhausted retries
   };
 
-  /// An immutable model installation for one worker: the primary replica,
-  /// its CPU-native fallback twin, and the generation they came from.
-  /// Swapped wholesale — a request sees one WorkerModel end to end.
-  struct WorkerModel {
-    std::shared_ptr<const Classifier> primary;
-    std::shared_ptr<const Classifier> fallback;
-    std::uint64_t generation = 0;
+  /// An immutable model installation: the compiled model plus the health
+  /// ledger of this server's installation of it. Swapped wholesale — a
+  /// request sees one WorkerModel end to end.
+  struct WorkerModel : CompiledModel {
     std::shared_ptr<ModelHealth> health;
-    /// Reference CRC of the primary's resident layout, captured when the
-    /// model is built (so every legitimate install — ctor, reload, repair
-    /// — recaptures it for free). The scrubber recomputes the live CRC
-    /// and compares. Disengaged for FilBaseline, whose layout is built
-    /// inside the kernel with nothing resident to scrub.
-    std::optional<std::uint32_t> layout_crc;
   };
 
   /// One worker's swap point. The mutex is uncontended except during a
@@ -371,11 +420,10 @@ class ForestServer {
 
   void validate_options() const;
   void start_workers();
-  /// Builds one worker's replica pair from a forest and optional
-  /// precompiled layout (ConfigError on shape/kind mismatch).
-  std::shared_ptr<const WorkerModel> build_worker_model(
-      const Forest& forest, const CsrForest* csr, const HierarchicalForest* hier,
-      std::uint64_t generation, std::shared_ptr<ModelHealth> health) const;
+  /// An installation of `model` (one for every slot to share) reporting
+  /// to `health`.
+  static std::shared_ptr<WorkerModel> make_worker_model(const CompiledModel& model,
+                                                        std::shared_ptr<ModelHealth> health);
 
   std::shared_ptr<const WorkerModel> model_for(std::size_t w) const;
   void install_model(std::size_t w, std::shared_ptr<const WorkerModel> m);
@@ -462,7 +510,6 @@ class ForestServer {
     std::atomic<bool> repair_requested{false};   // audit streak hit K
   };
 
-  bool integrity_enabled() const;
   /// Single-request dispatch with the watchdog's claim window around it.
   /// Returns false when the watchdog claimed the request — the calling
   /// worker thread was declared hung and replaced, so it must exit.
@@ -481,16 +528,24 @@ class ForestServer {
   /// the full counter/histogram/trace treatment of a normal completion
   /// plus a degradation note — never a lost response.
   void watchdog_answer(std::size_t w, Request req);
-  /// Re-verifies every replica's layout CRC against its reference.
+  /// Re-verifies every replica's layout CRC against its reference (once
+  /// per distinct replica: slots sharing a model share one check).
   void scrub_pass();
   /// Quarantines worker w's replica (the CPU oracle serves as primary)
-  /// and rebuilds the real primary — from the configured store's current
-  /// generation when possible, else recompiled from the pristine forest
-  /// the fallback replica holds. No-op if the slot moved on (a reload).
+  /// and reinstalls a clean model: the server's shared installation of
+  /// the same generation when its CRC still verifies, else one rebuilt
+  /// from the configured store's current generation when possible, else
+  /// recompiled from the in-memory forest. No-op if the slot moved on (a
+  /// reload).
   void repair_replica(std::size_t w, std::shared_ptr<const WorkerModel> suspect);
   /// corrupt:replica payload: copy-clobber-swap one worker's layout,
-  /// keeping the reference CRC so the scrubber sees the drift.
+  /// keeping the reference CRC so the scrubber sees the drift. The
+  /// shared original, still installed in the other slots, is untouched.
   void inject_replica_corruption();
+  /// The shared installation the slots hold outside a reload, and the one
+  /// a rollback or repair reinstalls.
+  std::shared_ptr<const WorkerModel> serving() const;
+  void set_serving(std::shared_ptr<const WorkerModel> m);
   /// Compare-and-swap install: replaces worker w's model only when the
   /// slot still holds `expected` (repairs never clobber a fresh reload).
   bool install_model_if(std::size_t w, const std::shared_ptr<const WorkerModel>& expected,
@@ -513,6 +568,8 @@ class ForestServer {
   /// resolved once at construction for the batch former's row budget.
   std::size_t batch_granularity_ = 1;
 
+  mutable std::mutex serving_mu_;
+  std::shared_ptr<const WorkerModel> serving_;  // guarded by serving_mu_
   std::atomic<std::uint64_t> current_generation_{0};
   std::mutex reload_mu_;  // serializes reload state machines
   mutable std::mutex reload_history_mu_;

@@ -496,6 +496,10 @@ TEST_F(ClusterTest, AdaptiveLimiterRefusesExcessConcurrencyAtTheDoor) {
   while (router.limiter_in_flight() < 2 && t.seconds() < 5.0) std::this_thread::yield();
   ASSERT_EQ(router.limiter_in_flight(), 2u);
   EXPECT_EQ(router.concurrency_limit(), 2u);
+  // The limiter counts a request in flight before the router counts it
+  // as submitted; wait for both so the exact counts below are settled.
+  WallTimer settle;
+  while (router.stats().submitted < 2 && settle.seconds() < 5.0) std::this_thread::yield();
 
   // Third concurrent request: refused before it touches a shard queue.
   EXPECT_THROW(router.query(queries_), OverloadError);
@@ -560,6 +564,61 @@ TEST_F(ClusterTest, RouterRequestIdCorrelatesSpansAcrossShardTracers) {
   // No shard-side trace is missing the correlation attribute.
   EXPECT_FALSE(shard0_ids.count(""));
   EXPECT_FALSE(shard1_ids.count(""));
+  router.shutdown();
+}
+
+TEST_F(ClusterTest, LatencyMergesEveryShardsBatchSizes) {
+  serve::ServerOptions so = fast_server();
+  so.batching.max_requests = 4;
+  const ClusterOptions copt = quiet_cluster(2);
+  ClusterRouter router(forest_, cpu_options(), so, copt);
+  for (int i = 0; i < 3; ++i) {
+    (void)router.query(queries_, {.key = key_for_shard(copt, 0)});
+    (void)router.query(queries_, {.key = key_for_shard(copt, 1)});
+  }
+  const std::uint64_t shard0 = router.shard(0).latency().batch_size.total;
+  const std::uint64_t shard1 = router.shard(1).latency().batch_size.total;
+  ASSERT_GT(shard0, 0u);
+  ASSERT_GT(shard1, 0u);
+  EXPECT_EQ(router.latency().batch_size.total, shard0 + shard1);
+  router.shutdown();
+}
+
+TEST_F(ClusterTest, ShardsAndScaleUpShareOneCompiledModel) {
+  ClusterOptions copt = quiet_cluster(3);
+  copt.max_shards = 4;
+  ClusterRouter router(forest_, gpu_hybrid_options(), fast_server(2), copt);
+  // Reference: one 1-worker server holds exactly one copy of the model.
+  serve::ForestServer single(forest_, gpu_hybrid_options(), fast_server(1));
+  const serve::ServerStats one = single.stats();
+  ASSERT_EQ(one.resident_layouts, 1u);
+  ASSERT_GT(one.resident_model_bytes, 0u);
+
+  ClusterStats stats = router.stats();
+  EXPECT_EQ(stats.resident_layouts, 1u);
+  EXPECT_EQ(stats.resident_model_bytes, one.resident_model_bytes);
+  ASSERT_TRUE(router.scale_up());
+  stats = router.stats();
+  EXPECT_EQ(stats.shards, 4u);
+  EXPECT_EQ(stats.resident_layouts, 1u);
+  EXPECT_EQ(stats.resident_model_bytes, one.resident_model_bytes);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(router.shard(s).submit(queries_).get().report.predictions, reference_)
+        << "shard " << s;
+  }
+  router.shutdown();
+  single.shutdown();
+}
+
+TEST_F(ClusterReloadTest, StoreRouterShardsShareOneCompiledModel) {
+  ClusterOptions copt = quiet_cluster(3);
+  copt.max_shards = 4;
+  ClusterRouter router(*store_, gpu_hybrid_options(), fast_server(), copt);
+  EXPECT_EQ(router.stats().resident_layouts, 1u);
+  // A shard added while the store's generation is unchanged reuses it.
+  ASSERT_TRUE(router.scale_up());
+  EXPECT_EQ(router.stats().resident_layouts, 1u);
+  EXPECT_EQ(router.shard(3).generation(), 1u);
   router.shutdown();
 }
 

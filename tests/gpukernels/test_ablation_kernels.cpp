@@ -22,6 +22,7 @@ gpusim::DeviceConfig small_gpu() {
 struct Fixture {
   Forest forest;
   HierarchicalForest hier;
+  std::vector<PackedNode> packed;
   Dataset queries;
   std::vector<std::uint8_t> reference;
 
@@ -32,6 +33,7 @@ struct Fixture {
                                    .num_features = 9,
                                    .seed = 71})),
         hier(HierarchicalForest::build(forest, HierConfig{.subtree_depth = 4})),
+        packed(pack_nodes(hier)),
         queries(make_random_queries(500, 9, 72)),
         reference(forest.classify_batch(queries.features(), queries.num_samples())) {}
 };
@@ -39,14 +41,14 @@ struct Fixture {
 TEST(TreePerBlock, MatchesReferencePredictions) {
   const Fixture fx;
   gpusim::Device d(small_gpu());
-  const auto r = run_tree_per_block(d, fx.hier, fx.queries);
+  const auto r = run_tree_per_block(d, fx.hier, fx.packed, fx.queries);
   EXPECT_EQ(r.predictions, fx.reference);
 }
 
 TEST(TreePerBlock, IssuesVoteAtomics) {
   const Fixture fx;
   gpusim::Device d(small_gpu());
-  const auto r = run_tree_per_block(d, fx.hier, fx.queries);
+  const auto r = run_tree_per_block(d, fx.hier, fx.packed, fx.queries);
   // One atomic per (query, tree) leaf arrival, coalesced into lines.
   EXPECT_GT(r.counters.atomic_transactions, 0u);
   EXPECT_GT(r.timing.atomic_cycles, 0.0);
@@ -56,9 +58,9 @@ TEST(TreePerBlock, SlowerThanIndependentPerThePaper) {
   // §3.2.1 Optimization 2 "resulted in significant slowdown".
   const Fixture fx;
   gpusim::Device d1(small_gpu());
-  const auto ind = run_independent(d1, fx.hier, fx.queries);
+  const auto ind = run_independent(d1, fx.hier, fx.packed, fx.queries);
   gpusim::Device d2(small_gpu());
-  const auto tpb = run_tree_per_block(d2, fx.hier, fx.queries);
+  const auto tpb = run_tree_per_block(d2, fx.hier, fx.packed, fx.queries);
   EXPECT_GT(tpb.timing.seconds, ind.timing.seconds);
 }
 
@@ -115,7 +117,7 @@ TEST(PresortQueries, PredictionsUnchangedUpToPermutation) {
   const auto order = presort_queries(fx.queries);
   const Dataset sorted = permute_queries(fx.queries, order);
   gpusim::Device d(small_gpu());
-  const auto r = run_independent(d, fx.hier, sorted);
+  const auto r = run_independent(d, fx.hier, fx.packed, sorted);
   for (std::size_t i = 0; i < order.size(); ++i) {
     ASSERT_EQ(r.predictions[i], fx.reference[order[i]]);
   }
@@ -124,10 +126,11 @@ TEST(PresortQueries, PredictionsUnchangedUpToPermutation) {
 TEST(PresortQueries, ImprovesOrKeepsBranchEfficiency) {
   const Fixture fx;
   gpusim::Device d1(small_gpu());
-  const auto plain = run_independent(d1, fx.hier, fx.queries);
+  const auto plain = run_independent(d1, fx.hier, fx.packed, fx.queries);
   gpusim::Device d2(small_gpu());
   const auto sorted =
-      run_independent(d2, fx.hier, permute_queries(fx.queries, presort_queries(fx.queries)));
+      run_independent(d2, fx.hier, fx.packed,
+                      permute_queries(fx.queries, presort_queries(fx.queries)));
   EXPECT_GE(sorted.counters.branch_efficiency() + 1e-9, plain.counters.branch_efficiency());
 }
 

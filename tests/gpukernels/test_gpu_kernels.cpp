@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "../common/paper_example.hpp"
+#include "core/classifier.hpp"
 #include "data/synthetic.hpp"
 #include "forest/random_forest_gen.hpp"
 #include "layout/csr.hpp"
@@ -24,6 +25,7 @@ struct Fixture {
   Forest forest;
   CsrForest csr;
   HierarchicalForest hier;
+  std::vector<PackedNode> packed;
   Dataset queries;
   std::vector<std::uint8_t> reference;
 
@@ -32,6 +34,7 @@ struct Fixture {
         csr(CsrForest::build(forest)),
         hier(HierarchicalForest::build(forest,
                                        HierConfig{.subtree_depth = sd, .root_subtree_depth = rsd})),
+        packed(pack_nodes(hier)),
         queries(make_random_queries(nq, spec.num_features, spec.seed + 1)),
         reference(forest.classify_batch(queries.features(), queries.num_samples())) {}
 };
@@ -59,15 +62,15 @@ TEST_P(KernelEquivalence, AllKernelsMatchReference) {
   }
   {
     gpusim::Device d(small_gpu());
-    expect_exact(run_independent(d, fx.hier, fx.queries).predictions, fx.reference);
+    expect_exact(run_independent(d, fx.hier, fx.packed, fx.queries).predictions, fx.reference);
   }
   {
     gpusim::Device d(small_gpu());
-    expect_exact(run_hybrid(d, fx.hier, fx.queries).predictions, fx.reference);
+    expect_exact(run_hybrid(d, fx.hier, fx.packed, fx.queries).predictions, fx.reference);
   }
   {
     gpusim::Device d(small_gpu());
-    expect_exact(run_collaborative(d, fx.hier, fx.queries).predictions, fx.reference);
+    expect_exact(run_collaborative(d, fx.hier, fx.packed, fx.queries).predictions, fx.reference);
   }
   {
     gpusim::Device d(small_gpu());
@@ -93,7 +96,7 @@ TEST(GpuKernels, QueryCountNotMultipleOfBlockSize) {
   gpusim::Device d(small_gpu());
   expect_exact(run_csr(d, fx.csr, fx.queries).predictions, fx.reference);
   gpusim::Device d2(small_gpu());
-  expect_exact(run_hybrid(d2, fx.hier, fx.queries).predictions, fx.reference);
+  expect_exact(run_hybrid(d2, fx.hier, fx.packed, fx.queries).predictions, fx.reference);
 }
 
 TEST(GpuKernels, RejectsMismatchedQueryWidth) {
@@ -104,8 +107,8 @@ TEST(GpuKernels, RejectsMismatchedQueryWidth) {
   const Dataset wrong = make_random_queries(32, spec.num_features + 3);
   gpusim::Device d(small_gpu());
   EXPECT_THROW(run_csr(d, fx.csr, wrong), ConfigError);
-  EXPECT_THROW(run_independent(d, fx.hier, wrong), ConfigError);
-  EXPECT_THROW(run_hybrid(d, fx.hier, wrong), ConfigError);
+  EXPECT_THROW(run_independent(d, fx.hier, fx.packed, wrong), ConfigError);
+  EXPECT_THROW(run_hybrid(d, fx.hier, fx.packed, wrong), ConfigError);
   EXPECT_THROW(run_fil_baseline(d, fx.forest, wrong), ConfigError);
 }
 
@@ -121,7 +124,7 @@ TEST(GpuKernels, HybridRejectsRootSubtreeBiggerThanSharedMemory) {
   const HierarchicalForest h = HierarchicalForest::build(f, cfg);
   const Dataset q = make_random_queries(32, spec.num_features);
   gpusim::Device d(small_gpu());
-  EXPECT_THROW(run_hybrid(d, h, q), ResourceError);
+  EXPECT_THROW(run_hybrid(d, h, pack_nodes(h), q), ResourceError);
 }
 
 TEST(GpuKernels, RsdTwelveIsTheSharedMemoryLimit) {
@@ -137,15 +140,17 @@ TEST(GpuKernels, RsdTwelveIsTheSharedMemoryLimit) {
     HierConfig cfg;
     cfg.subtree_depth = 8;
     cfg.root_subtree_depth = 12;
+    const HierarchicalForest h = HierarchicalForest::build(f, cfg);
     gpusim::Device d(small_gpu());
-    EXPECT_NO_THROW(run_hybrid(d, HierarchicalForest::build(f, cfg), q));
+    EXPECT_NO_THROW(run_hybrid(d, h, pack_nodes(h), q));
   }
   {
     HierConfig cfg;
     cfg.subtree_depth = 8;
     cfg.root_subtree_depth = 13;
+    const HierarchicalForest h = HierarchicalForest::build(f, cfg);
     gpusim::Device d(small_gpu());
-    EXPECT_THROW(run_hybrid(d, HierarchicalForest::build(f, cfg), q), ResourceError);
+    EXPECT_THROW(run_hybrid(d, h, pack_nodes(h), q), ResourceError);
   }
 }
 
@@ -176,9 +181,9 @@ TEST(GpuKernels, CountersShapeMatchesPaperFindings) {
   gpusim::Device d_csr(small_gpu());
   const auto csr = run_csr(d_csr, fx.csr, fx.queries);
   gpusim::Device d_ind(small_gpu());
-  const auto ind = run_independent(d_ind, fx.hier, fx.queries);
+  const auto ind = run_independent(d_ind, fx.hier, fx.packed, fx.queries);
   gpusim::Device d_hyb(small_gpu());
-  const auto hyb = run_hybrid(d_hyb, fx.hier, fx.queries);
+  const auto hyb = run_hybrid(d_hyb, fx.hier, fx.packed, fx.queries);
 
   EXPECT_LT(ind.counters.gld_requests, csr.counters.gld_requests);
   EXPECT_LT(hyb.counters.gld_requests, ind.counters.gld_requests);
@@ -199,9 +204,9 @@ TEST(GpuKernels, CollaborativeIsSlowerThanIndependent) {
   spec.branch_prob = 0.8;
   const Fixture fx(spec, 4, 0, 1024);
   gpusim::Device d_ind(small_gpu());
-  const auto ind = run_independent(d_ind, fx.hier, fx.queries);
+  const auto ind = run_independent(d_ind, fx.hier, fx.packed, fx.queries);
   gpusim::Device d_col(small_gpu());
-  const auto col = run_collaborative(d_col, fx.hier, fx.queries);
+  const auto col = run_collaborative(d_col, fx.hier, fx.packed, fx.queries);
   EXPECT_GT(col.timing.seconds, 2.0 * ind.timing.seconds);
 }
 
@@ -211,7 +216,69 @@ TEST(GpuKernels, SingleQuerySingleTree) {
   spec.max_depth = 3;
   const Fixture fx(spec, 2, 0, 1);
   gpusim::Device d(small_gpu());
-  expect_exact(run_independent(d, fx.hier, fx.queries).predictions, fx.reference);
+  expect_exact(run_independent(d, fx.hier, fx.packed, fx.queries).predictions, fx.reference);
+}
+
+// Two classify() runs agree on predictions, every counter and the timing.
+void expect_identical_runs(const RunReport& a, const RunReport& b, const std::string& what) {
+  EXPECT_EQ(a.predictions, b.predictions) << what;
+  EXPECT_EQ(a.seconds, b.seconds) << what;
+  ASSERT_TRUE(a.gpu_counters && b.gpu_counters) << what;
+  const gpusim::Counters& x = *a.gpu_counters;
+  const gpusim::Counters& y = *b.gpu_counters;
+  EXPECT_EQ(x.gld_requests, y.gld_requests) << what;
+  EXPECT_EQ(x.gst_requests, y.gst_requests) << what;
+  EXPECT_EQ(x.gld_transactions, y.gld_transactions) << what;
+  EXPECT_EQ(x.gst_transactions, y.gst_transactions) << what;
+  EXPECT_EQ(x.l1_hits, y.l1_hits) << what;
+  EXPECT_EQ(x.l2_hits, y.l2_hits) << what;
+  EXPECT_EQ(x.dram_transactions, y.dram_transactions) << what;
+  EXPECT_EQ(x.smem_loads, y.smem_loads) << what;
+  EXPECT_EQ(x.smem_stores, y.smem_stores) << what;
+  EXPECT_EQ(x.branches, y.branches) << what;
+  EXPECT_EQ(x.divergent_branches, y.divergent_branches) << what;
+  EXPECT_EQ(x.atomic_transactions, y.atomic_transactions) << what;
+  EXPECT_EQ(x.warp_instructions, y.warp_instructions) << what;
+  ASSERT_TRUE(a.gpu_timing && b.gpu_timing) << what;
+  const gpusim::Timing& s = *a.gpu_timing;
+  const gpusim::Timing& t = *b.gpu_timing;
+  EXPECT_EQ(s.cycles, t.cycles) << what;
+  EXPECT_EQ(s.seconds, t.seconds) << what;
+  EXPECT_EQ(s.compute_cycles, t.compute_cycles) << what;
+  EXPECT_EQ(s.dram_cycles, t.dram_cycles) << what;
+  EXPECT_EQ(s.l2_cycles, t.l2_cycles) << what;
+  EXPECT_EQ(s.atomic_cycles, t.atomic_cycles) << what;
+  EXPECT_EQ(s.limiter, t.limiter) << what;
+}
+
+TEST(GpuKernels, PackedNodesHeldByAClassifierCarryNoStateBetweenRuns) {
+  // A GpuSim classifier packs its layout once and every launch reads that
+  // one array. Back-to-back runs on one classifier must match each other
+  // and a freshly compiled classifier exactly.
+  RandomForestSpec spec;
+  spec.num_trees = 8;
+  spec.max_depth = 10;
+  spec.branch_prob = 0.8;
+  spec.num_features = 9;
+  spec.seed = 515;
+  const Forest forest = make_random_forest(spec);
+  const Dataset queries = make_random_queries(300, spec.num_features, 516);
+  const std::vector<std::uint8_t> reference =
+      forest.classify_batch(queries.features(), queries.num_samples());
+  for (const Variant v : {Variant::Hybrid, Variant::Independent, Variant::Collaborative}) {
+    ClassifierOptions opt;
+    opt.backend = Backend::GpuSim;
+    opt.variant = v;
+    opt.layout.subtree_depth = 4;
+    opt.gpu = small_gpu();
+    const Classifier shared(forest, opt);
+    const RunReport first = shared.classify(queries);
+    const RunReport second = shared.classify(queries);
+    const RunReport fresh = Classifier(forest, opt).classify(queries);
+    expect_identical_runs(first, second, std::string(to_string(v)) + ": repeat run");
+    expect_identical_runs(first, fresh, std::string(to_string(v)) + ": fresh classifier");
+    expect_exact(first.predictions, reference);
+  }
 }
 
 }  // namespace

@@ -61,12 +61,13 @@ TEST_P(DifferentialFuzz, AllEncodingsAgree) {
       << "seed=" << seed;
 
   // Simulated devices (hybrid only when the root subtree fits smem).
+  const std::vector<gpukernels::PackedNode> packed = gpukernels::pack_nodes(hier);
   gpusim::Device d1(small_gpu());
-  ASSERT_EQ(gpukernels::run_independent(d1, hier, queries).predictions, reference)
+  ASSERT_EQ(gpukernels::run_independent(d1, hier, packed, queries).predictions, reference)
       << "seed=" << seed;
   if (complete_tree_nodes(cfg.effective_root_depth()) * 8 <= 48 * 1024) {
     gpusim::Device d2(small_gpu());
-    ASSERT_EQ(gpukernels::run_hybrid(d2, hier, queries).predictions, reference)
+    ASSERT_EQ(gpukernels::run_hybrid(d2, hier, packed, queries).predictions, reference)
         << "seed=" << seed;
   }
   ASSERT_EQ(fpgakernels::run_independent_fpga(hier, queries).predictions, reference)

@@ -67,7 +67,8 @@ TEST(PaperFormulas, SubtreeHopsAreVisitsOverS) {
 TEST(PaperFormulas, IndependentGpuLaneAccessesBoundedByQtdTimesConstant) {
   const Workload w;
   gpusim::Device dev(gpusim::DeviceConfig::titan_xp());
-  const auto r = gpukernels::run_independent(dev, w.hier, w.queries);
+  const auto r =
+      gpukernels::run_independent(dev, w.hier, gpukernels::pack_nodes(w.hier), w.queries);
   // Per step the kernel issues <= 3 lane accesses (node, query feature,
   // hop/metadata amortized); total warp requests x warp size bounds lane
   // accesses, which must stay within a small constant of q*t*d.
@@ -84,7 +85,7 @@ TEST(PaperFormulas, HybridSharedMemoryServesStageOne) {
   cfg.root_subtree_depth = w.s;
   const auto hier = HierarchicalForest::build(w.forest, cfg);
   gpusim::Device dev(gpusim::DeviceConfig::titan_xp());
-  const auto r = gpukernels::run_hybrid(dev, hier, w.queries);
+  const auto r = gpukernels::run_hybrid(dev, hier, gpukernels::pack_nodes(hier), w.queries);
   // Stage 1 reads one shared-memory word per (warp, step): q/32 * t * s,
   // plus the cooperative stores blocks * t * ceil(2^s-1 / 32).
   const std::uint64_t stage1_warp_steps = (w.q / 32 + 1) * w.t * w.s;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,27 +40,28 @@ WindowSample server_window(double end, std::uint64_t failed, std::uint64_t compl
   return w;
 }
 
-const SloAlertState* find_alert(const std::vector<SloAlertState>& alerts,
-                                const std::string& scope, const std::string& objective) {
+// A copy, not a pointer: alerts() returns a temporary snapshot.
+std::optional<SloAlertState> find_alert(const std::vector<SloAlertState>& alerts,
+                                        const std::string& scope, const std::string& objective) {
   for (const SloAlertState& a : alerts) {
-    if (a.scope == scope && a.objective == objective) return &a;
+    if (a.scope == scope && a.objective == objective) return a;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 TEST(SloEngine, FiresOnlyAfterHysteresisEvaluations) {
   SloEngine engine(tight_objectives());
   // 50% failures over a 10% budget => burn 5.0, right at both thresholds.
   engine.observe(server_window(1.0, 50, 50));
-  const SloAlertState* a = find_alert(engine.alerts(), "server", "success_rate");
-  ASSERT_NE(a, nullptr);
+  std::optional<SloAlertState> a = find_alert(engine.alerts(), "server", "success_rate");
+  ASSERT_TRUE(a.has_value());
   EXPECT_FALSE(a->firing);  // one breaching evaluation is not enough
   EXPECT_DOUBLE_EQ(a->fast_burn, 5.0);
   EXPECT_DOUBLE_EQ(a->slow_burn, 5.0);
 
   engine.observe(server_window(2.0, 50, 50));
   a = find_alert(engine.alerts(), "server", "success_rate");
-  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a.has_value());
   EXPECT_TRUE(a->firing);
   EXPECT_EQ(a->fired_total, 1u);
   EXPECT_EQ(engine.fired_total(), 1u);
@@ -71,8 +73,8 @@ TEST(SloEngine, SingleBadWindowDoesNotFire) {
   engine.observe(server_window(1.0, 100, 0));  // one terrible window
   engine.observe(server_window(2.0, 0, 100));  // back to healthy
   engine.observe(server_window(3.0, 0, 100));
-  const SloAlertState* a = find_alert(engine.alerts(), "server", "success_rate");
-  ASSERT_NE(a, nullptr);
+  std::optional<SloAlertState> a = find_alert(engine.alerts(), "server", "success_rate");
+  ASSERT_TRUE(a.has_value());
   EXPECT_FALSE(a->firing);
   EXPECT_EQ(engine.fired_total(), 0u);
 }
@@ -86,7 +88,7 @@ TEST(SloEngine, ClearsWithHysteresisAndCooldownBlocksRefire) {
   engine.observe(server_window(3.0, 0, 100));  // clear streak 1: still firing
   EXPECT_TRUE(find_alert(engine.alerts(), "server", "success_rate")->firing);
   engine.observe(server_window(4.0, 0, 100));  // clear streak 2: clears
-  const SloAlertState* a = find_alert(engine.alerts(), "server", "success_rate");
+  std::optional<SloAlertState> a = find_alert(engine.alerts(), "server", "success_rate");
   EXPECT_FALSE(a->firing);
   EXPECT_EQ(a->cleared_total, 1u);
 
@@ -121,11 +123,11 @@ TEST(SloEngine, DownedShardBurnsAtFullRatioDespiteFailover) {
     engine.observe(w);
   }
   const std::vector<SloAlertState> alerts = engine.alerts();
-  const SloAlertState* server = find_alert(alerts, "server", "success_rate");
-  ASSERT_NE(server, nullptr);
+  std::optional<SloAlertState> server = find_alert(alerts, "server", "success_rate");
+  ASSERT_TRUE(server.has_value());
   EXPECT_FALSE(server->firing);
-  const SloAlertState* shard = find_alert(alerts, "shard:1", "success_rate");
-  ASSERT_NE(shard, nullptr);
+  std::optional<SloAlertState> shard = find_alert(alerts, "shard:1", "success_rate");
+  ASSERT_TRUE(shard.has_value());
   EXPECT_TRUE(shard->firing);
   EXPECT_DOUBLE_EQ(shard->fast_burn, 10.0);  // ratio 1.0 over budget 0.1
 }
@@ -143,8 +145,8 @@ TEST(SloEngine, TenantShedsBurnTenantScope) {
     w.tenants.push_back(t);
     engine.observe(w);
   }
-  const SloAlertState* a = find_alert(engine.alerts(), "tenant:acme", "success_rate");
-  ASSERT_NE(a, nullptr);
+  std::optional<SloAlertState> a = find_alert(engine.alerts(), "tenant:acme", "success_rate");
+  ASSERT_TRUE(a.has_value());
   EXPECT_TRUE(a->firing);
 }
 
@@ -159,13 +161,13 @@ TEST(SloEngine, LatencyObjectiveFiresOnP95Breach) {
     w.histogram_deltas.emplace_back("end_to_end", h.snapshot());
     engine.observe(w);
   }
-  const SloAlertState* lat = find_alert(engine.alerts(), "server", "p95_latency");
-  ASSERT_NE(lat, nullptr);
+  std::optional<SloAlertState> lat = find_alert(engine.alerts(), "server", "p95_latency");
+  ASSERT_TRUE(lat.has_value());
   EXPECT_TRUE(lat->firing);
   // ratio 1.0 over the 5% a p95 objective allows => burn 20.
   EXPECT_DOUBLE_EQ(lat->fast_burn, 20.0);
-  const SloAlertState* ok = find_alert(engine.alerts(), "server", "success_rate");
-  ASSERT_NE(ok, nullptr);
+  std::optional<SloAlertState> ok = find_alert(engine.alerts(), "server", "success_rate");
+  ASSERT_TRUE(ok.has_value());
   EXPECT_FALSE(ok->firing);
 }
 
@@ -180,8 +182,8 @@ TEST(SloEngine, LatencyObjectiveStaysQuietWhenSamplesAreUnderTarget) {
     w.histogram_deltas.emplace_back("end_to_end", h.snapshot());
     engine.observe(w);
   }
-  const SloAlertState* lat = find_alert(engine.alerts(), "server", "p95_latency");
-  ASSERT_NE(lat, nullptr);
+  std::optional<SloAlertState> lat = find_alert(engine.alerts(), "server", "p95_latency");
+  ASSERT_TRUE(lat.has_value());
   EXPECT_FALSE(lat->firing);
   EXPECT_DOUBLE_EQ(lat->fast_burn, 0.0);
 }
@@ -220,8 +222,8 @@ TEST(SloEngine, ServerRowsExistWithZeroTraffic) {
   SloEngine engine(o);
   engine.observe(server_window(1.0, 0, 0));
   const std::vector<SloAlertState> alerts = engine.alerts();
-  EXPECT_NE(find_alert(alerts, "server", "success_rate"), nullptr);
-  EXPECT_NE(find_alert(alerts, "server", "p95_latency"), nullptr);
+  EXPECT_TRUE(find_alert(alerts, "server", "success_rate").has_value());
+  EXPECT_TRUE(find_alert(alerts, "server", "p95_latency").has_value());
   for (const SloAlertState& a : alerts) {
     EXPECT_FALSE(a.firing);
     EXPECT_DOUBLE_EQ(a.fast_burn, 0.0);

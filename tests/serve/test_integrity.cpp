@@ -33,6 +33,7 @@
 #include "layout/layout_io.hpp"
 #include "serve/server.hpp"
 #include "util/crc32.hpp"
+#include "util/error.hpp"
 #include "util/fault.hpp"
 
 namespace hrf::serve {
@@ -186,6 +187,27 @@ TEST(IntegrityServer, ScrubberDetectsAndRepairsInjectedCorruption) {
   FaultInjector::global().disarm_all();
 }
 
+// The worker recorded on the execute span of the newest retained trace.
+std::string last_worker(const ForestServer& server) {
+  const auto traces = server.tracer().traces();
+  if (traces.empty()) return {};
+  for (const trace::SpanData& span : traces.back()->spans) {
+    if (span.name != "execute") continue;
+    for (const auto& [key, value] : span.attributes) {
+      if (key == "worker") return value;
+    }
+  }
+  return {};
+}
+
+ClassifierOptions gpu_hybrid_options() {
+  ClassifierOptions copt;
+  copt.backend = Backend::GpuSim;
+  copt.variant = Variant::Hybrid;
+  copt.layout.subtree_depth = 4;
+  return copt;
+}
+
 TEST(IntegrityServer, ShadowAuditServesOracleAnswerAndTriggersRepair) {
   FaultInjector::global().disarm_all();
   ServeFixture fx;
@@ -302,6 +324,99 @@ TEST(IntegrityServer, UnconfiguredServerReportsAllZeros) {
   EXPECT_EQ(s.audit_sampled, 0u);
   EXPECT_EQ(s.watchdog_worker_restarts, 0u);
   (void)server.shutdown();
+}
+
+TEST(IntegrityServer, ModelCompiledForIntegrityGivesTheOracleItsOwnStorage) {
+  ServeFixture fx;
+  const auto shared = compile_model(Classifier(fx.forest, gpu_hybrid_options()), 0, false);
+  const auto owned = compile_model(Classifier(fx.forest, gpu_hybrid_options()), 0, true);
+  ResidentModels in_shared, in_owned;
+  in_shared.add(*shared->primary);
+  in_shared.add(*shared->fallback);
+  in_owned.add(*owned->primary);
+  in_owned.add(*owned->fallback);
+  // Without a monitor the twin shares the primary's layout; with one, the
+  // oracle's layout is its own, so damage to the primary's cannot reach it.
+  EXPECT_EQ(in_shared.layouts(), 1u);
+  EXPECT_EQ(in_owned.layouts(), 2u);
+  EXPECT_NE(&owned->fallback->forest(), &owned->primary->forest());
+  EXPECT_FALSE(shared->layout_crc.has_value());
+  EXPECT_TRUE(owned->layout_crc.has_value());
+  EXPECT_EQ(owned->fallback->classify(fx.queries).predictions, fx.reference);
+
+  // An armed monitor refuses a model compiled without its reference CRC.
+  ServerOptions sopt;
+  sopt.integrity.hang_timeout_seconds = 10.0;
+  EXPECT_THROW({ ForestServer server(shared, sopt); }, ConfigError);
+}
+
+TEST(IntegrityServer, CorruptReplicaStaysOnItsOwnWorkerOfTheSharedModel) {
+  FaultInjector::global().disarm_all();
+  ServeFixture fx;
+  ServerOptions sopt;
+  sopt.num_workers = 4;
+  sopt.trace_sampling = 1.0;
+  // Arms the monitor (so corrupt:replica fires) with no scrubber or audit
+  // to undo the damage while it is observed.
+  sopt.integrity.hang_timeout_seconds = 10.0;
+  ForestServer server(fx.forest, gpu_hybrid_options(), sopt);
+  // One model for all four slots: the primary's layout and the oracle's.
+  ASSERT_EQ(server.stats().resident_layouts, 2u);
+
+  FaultInjector::global().arm("corrupt:replica", 1);
+  // Copy-and-swap: worker 0 gets a private corrupted layout, and the
+  // shared original stays installed in the other three slots.
+  ASSERT_TRUE(wait_for(server, [&](const SelfHealStats&) {
+    return server.stats().resident_layouts == 3;
+  }));
+
+  // Requests the other workers serve are still exact.
+  std::size_t from_others = 0;
+  for (int i = 0; i < 64; ++i) {
+    const ServeResult res = server.submit(fx.queries).get();
+    const std::string worker = last_worker(server);
+    ASSERT_FALSE(worker.empty());
+    if (worker == "0") continue;
+    ++from_others;
+    EXPECT_EQ(res.report.predictions, fx.reference) << "worker " << worker;
+  }
+  EXPECT_GT(from_others, 0u);
+  server.shutdown();
+  FaultInjector::global().disarm_all();
+}
+
+TEST(IntegrityServer, ScrubRepairReinstallsTheSharedModel) {
+  FaultInjector::global().disarm_all();
+  ServeFixture fx;
+  ServerOptions sopt;
+  sopt.num_workers = 4;
+  sopt.integrity.scrub_interval_seconds = 0.005;
+  ForestServer server(fx.forest, gpu_hybrid_options(), sopt);
+  const ServerStats clean = server.stats();
+  ASSERT_EQ(clean.resident_layouts, 2u);  // the primary's layout and the oracle's
+
+  FaultInjector::global().arm("corrupt:replica", 1);
+  ASSERT_TRUE(wait_for(server, [](const SelfHealStats& s) { return s.scrub_repairs >= 1; }));
+  // Two more full passes over the four slots after the repair.
+  const std::uint64_t passes = server.self_heal().scrub_passes;
+  ASSERT_TRUE(
+      wait_for(server, [&](const SelfHealStats& s) { return s.scrub_passes >= passes + 8; }));
+  const SelfHealStats heal = server.self_heal();
+  // Only worker 0's CRC ever drifted: the other workers' live layout, the
+  // shared original, kept matching its reference CRC.
+  EXPECT_EQ(heal.scrub_corruptions, 1u);
+  EXPECT_EQ(heal.scrub_repairs, 1u);
+  // The repair reinstalled that original: one clean model again.
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.resident_layouts, 2u);
+  EXPECT_EQ(after.resident_model_bytes, clean.resident_model_bytes);
+  for (int i = 0; i < 8; ++i) {
+    const ServeResult res = server.submit(fx.queries).get();
+    EXPECT_EQ(res.report.predictions, fx.reference);
+    EXPECT_TRUE(res.report.degradations.empty());
+  }
+  server.shutdown();
+  FaultInjector::global().disarm_all();
 }
 
 }  // namespace

@@ -285,6 +285,38 @@ TEST_F(ModelReloadTest, PostPromotionErrorSpikeRollsBackAllWorkers) {
   EXPECT_EQ(traffic.failed(), 0u);
 }
 
+TEST_F(ModelReloadTest, RollbackReinstallsThePreviousSharedModelOnEveryWorker) {
+  ForestServer server(*store_, gpu_hybrid_options(), fast_server(4));
+  const ServerStats before = server.stats();
+  ASSERT_EQ(before.resident_layouts, 1u);
+  Traffic traffic;
+  traffic.start(server, queries_, reference_, 4);
+
+  // A different subtree depth gives gen 2 a layout of a different size,
+  // so the footprint after rollback tells the two generations apart.
+  HierConfig cfg;
+  cfg.subtree_depth = 5;
+  store_->publish(forest_, HierarchicalForest::build(forest_, cfg), "gen2");
+  FaultInjector::global().arm("resource:gpu", -1);  // error spike after promotion
+  ReloadOptions opts = quick_opts();
+  opts.shadow_validation = false;
+  opts.post_promotion_watch_requests = 200;
+  opts.post_promotion_error_threshold = 3;
+  opts.post_promotion_timeout_seconds = 10.0;
+  const ReloadReport rep = server.reload(*store_, 2, opts);
+  FaultInjector::global().disarm_all();
+  traffic.halt();
+
+  ASSERT_EQ(rep.outcome, ReloadOutcome::RolledBackPostPromotion) << rep.to_string();
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.model_generation, 1u);
+  EXPECT_EQ(after.resident_layouts, 1u);  // every worker holds one model again
+  EXPECT_EQ(after.resident_model_bytes, before.resident_model_bytes);  // and it is gen 1's
+  EXPECT_EQ(traffic.wrong(), 0u);
+  EXPECT_EQ(traffic.failed(), 0u);
+  EXPECT_EQ(server.submit(queries_).get().report.predictions, reference_);
+}
+
 TEST_F(ModelReloadTest, TornStoreManifestDoesNotStopReloads) {
   ForestServer server(*store_, gpu_hybrid_options(), fast_server());
   store_->publish(forest_, hier_layout(forest_), "gen2");

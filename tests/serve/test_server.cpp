@@ -97,6 +97,27 @@ TEST_F(ForestServerTest, ServesConcurrentClientsBitIdentically) {
   EXPECT_TRUE(server.healthy());
 }
 
+TEST_F(ForestServerTest, WorkersAndFallbackTwinsShareOneCompiledModel) {
+  ForestServer four(forest_, gpu_hybrid_options(), fast_server(4));
+  ForestServer one(forest_, gpu_hybrid_options(), fast_server(1));
+  const ServerStats s4 = four.stats();
+  const ServerStats s1 = one.stats();
+  EXPECT_EQ(s4.resident_layouts, 1u);
+  EXPECT_EQ(s1.resident_layouts, 1u);
+  EXPECT_EQ(s4.resident_model_bytes, s1.resident_model_bytes);
+  // The CPU fallback twins add nothing either: the whole server holds
+  // what one standalone classifier does (forest, layout, packed nodes).
+  ResidentModels alone;
+  alone.add(Classifier(forest_, gpu_hybrid_options()));
+  EXPECT_EQ(s4.resident_model_bytes, alone.bytes());
+
+  std::vector<std::future<ServeResult>> futs;
+  for (int i = 0; i < 8; ++i) futs.push_back(four.submit(queries_));
+  for (auto& f : futs) EXPECT_EQ(f.get().report.predictions, reference_);
+  four.shutdown();
+  one.shutdown();
+}
+
 TEST_F(ForestServerTest, LatencyHistogramsTrackEveryCompletedRequest) {
   ForestServer server(forest_, gpu_hybrid_options(), fast_server(2));
   constexpr int kRequests = 12;

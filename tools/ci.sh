@@ -2,7 +2,8 @@
 # Single-entry CI pipeline: builds the plain tree, then runs the tier-1
 # correctness gate, the metrics-schema gate, the incident-bundle schema
 # gate, the chaos matrix (ctest -L chaos plus the tools/chaos.sh CLI
-# harness), and the ThreadSanitizer concurrency suites — and emits a
+# harness), the ThreadSanitizer concurrency suites, and the wall-clock
+# benchmark's self-test (perfbench/run.py --self-test) — and emits a
 # machine-readable JSON report with one pass/fail entry per step, so a
 # CI job can publish structured results instead of scraping logs.
 #
@@ -105,12 +106,19 @@ step_tsan() {
   tools/check.sh --tsan-only
 }
 
+# The wall-clock benchmark's self-test (perfbench/README.md): builds
+# hrf_perfbench and checks its summary arithmetic and its prediction check.
+step_perfbench_selftest() {
+  python3 perfbench/run.py --self-test
+}
+
 run_step build step_build
 run_step tier1 step_tier1
 run_step metrics-schema step_metrics_schema
 run_step incident-schema step_incident_schema
 run_step chaos step_chaos
 run_step tsan step_tsan
+run_step perfbench_selftest step_perfbench_selftest
 
 OVERALL=0
 {
